@@ -29,7 +29,6 @@ from repro.explore.configspace import (
     hardening_subsets,
 )
 from repro.explore.evaluators import (
-    CallableEvaluator,
     Evaluator,
     LiveEvaluator,
     ProfileEvaluator,
@@ -43,17 +42,12 @@ from repro.explore.explorer import (
     explore,
     explore_serial,
 )
-from repro.explore.measurement import (
-    OBJECTIVES,
-    Measurement,
-    as_measurement,
-)
+from repro.explore.measurement import OBJECTIVES, Measurement
 from repro.explore.parallel import antichain_waves, run_exploration
 from repro.explore.poset import ConfigPoset
 from repro.explore.safety import safety_leq
 
 __all__ = [
-    "CallableEvaluator",
     "ConfigPoset",
     "EvaluationCache",
     "Evaluator",
@@ -66,7 +60,6 @@ __all__ = [
     "ProfileEvaluator",
     "SyntheticEvaluator",
     "antichain_waves",
-    "as_measurement",
     "evaluation_key",
     "explore",
     "explore_serial",

@@ -1,14 +1,14 @@
 """Named, picklable performance evaluators for the exploration engine.
 
-The legacy ``explore(layouts, measure, ...)`` API took an arbitrary
-closure, which structurally forbids two things the engine needs:
+An arbitrary closure would structurally forbid two things the engine
+needs:
 
 * **multiprocessing** — a closure defined inside a benchmark driver
   cannot be pickled into a ``spawn``-context worker;
 * **caching** — a closure has no stable identity, so a measurement made
   by one driver cannot be recognised as reusable by another.
 
-An :class:`Evaluator` is the replacement: a small, picklable object with
+An :class:`Evaluator` is instead a small, picklable object with
 a registry name and a :meth:`key` that contributes to the
 content-addressed cache key (see :mod:`repro.explore.cache`).  Two
 drivers constructing ``ProfileEvaluator(app="redis")`` get interchange-
@@ -63,17 +63,17 @@ def get_evaluator(name, **params):
 def resolve_evaluator(spec):
     """Coerce a request's ``evaluator`` field into an :class:`Evaluator`.
 
-    Accepts an :class:`Evaluator` instance (returned as is), a registry
-    name, or a bare callable (wrapped in :class:`CallableEvaluator` —
-    serial-only, uncacheable).
+    Accepts an :class:`Evaluator` instance (returned as is) or a
+    registry name.
     """
     if isinstance(spec, Evaluator):
         return spec
     if isinstance(spec, str):
         return get_evaluator(spec)
-    if callable(spec):
-        return CallableEvaluator(spec)
-    raise ExplorationError("cannot use %r as an evaluator" % (spec,))
+    raise ExplorationError(
+        "cannot use %r as an evaluator; pass an Evaluator instance or a "
+        "registered name" % (spec,)
+    )
 
 
 class Evaluator:
@@ -216,40 +216,6 @@ class SyntheticEvaluator(Evaluator):
         fraction = int(digest, 16) / float(16 ** 12)
         return Measurement(self.scale * (0.25 + 0.75 * fraction),
                            self.objective)
-
-
-class CallableEvaluator(Evaluator):
-    """Adapter for legacy ``measure`` callables.
-
-    Exists so the deprecation shim (and callers that genuinely need a
-    closure, e.g. noise-injecting tests) can ride the new engine — but
-    only serially: a closure has no stable identity, so it cannot be
-    cached, and it generally cannot be pickled into a worker pool.
-    """
-
-    name = "callable"
-    parallel_safe = False
-    cacheable = False
-    #: A black-box callable may measure anything the caller says it does.
-    supported_objectives = OBJECTIVES
-
-    def __init__(self, fn, label=None):
-        if not callable(fn):
-            raise ExplorationError("%r is not callable" % (fn,))
-        self.fn = fn
-        self.label = label or getattr(fn, "__name__", "measure")
-
-    def params(self):
-        return {"label": self.label}
-
-    def key(self):
-        raise ExplorationError(
-            "callable evaluator %r has no stable cache key; register a "
-            "named Evaluator class to enable caching" % self.label
-        )
-
-    def __call__(self, layout):
-        return self.fn(layout)
 
 
 @register_evaluator

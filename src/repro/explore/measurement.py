@@ -17,9 +17,8 @@ decomposition predictions, model inputs).  ``float(measurement)``
 recovers the bare number, so arithmetic call sites migrate with one
 ``.value`` (or ``float()``).
 
-Legacy evaluators that still return a bare number are shimmed through
-:func:`as_measurement` with a :class:`DeprecationWarning`, mirroring
-the PR 4 ``explore(layouts, measure, budget)`` migration.
+The exploration engines reject any other evaluator return
+(:func:`require_measurement`).
 """
 
 from __future__ import annotations
@@ -88,30 +87,16 @@ class Measurement:
         )
 
 
-def as_measurement(value, evaluator=None, objective=None):
-    """Coerce an evaluator return into a :class:`Measurement`.
+def require_measurement(value, evaluator):
+    """Return ``value`` if it is a :class:`Measurement`, else raise.
 
-    Measurements pass through untouched.  Bare numbers are wrapped —
-    with a :class:`DeprecationWarning`, because an evaluator that
-    returns a float cannot state its objective — under ``objective``
-    (default: the evaluator's own, else ``throughput``).  Anything
-    else is an error.
+    A bare number cannot state its objective, so an evaluator that
+    returns one (or anything else) is rejected with
+    :class:`~repro.errors.ExplorationError`.
     """
-    if isinstance(value, Measurement):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, Measurement):
         raise ExplorationError(
             "evaluator %s returned %r; return a Measurement"
-            % (evaluator if evaluator is not None else "<unknown>", value)
+            % (evaluator, value)
         )
-    import warnings
-
-    warnings.warn(
-        "evaluators returning bare numbers are deprecated; return a "
-        "Measurement(value, objective) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if objective is None:
-        objective = getattr(evaluator, "objective", None) or "throughput"
-    return Measurement(float(value), objective)
+    return value

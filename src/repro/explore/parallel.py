@@ -41,7 +41,7 @@ from repro.explore.explorer import (
     _evaluator_error,
     _finalize,
 )
-from repro.explore.measurement import as_measurement
+from repro.explore.measurement import require_measurement
 from repro.explore.poset import ConfigPoset
 from repro.obs.tracer import get_tracer
 
@@ -83,15 +83,14 @@ def _pool_evaluate(task):
 
 def _evaluate_wave(names, poset, evaluator, pool):
     """Measure ``names``; returns ({name: Measurement}, first failure
-    or None).  Coercion to :class:`Measurement` happens parent-side
-    even for pool results, so the bare-float deprecation shim warns in
-    the caller's process."""
+    or None).  Pool results are checked for a :class:`Measurement`
+    parent-side, like inline ones."""
     values = {}
     failure = None
     if pool is None:
         for name in names:
             try:
-                values[name] = as_measurement(
+                values[name] = require_measurement(
                     evaluator(poset.layouts[name]), evaluator,
                 )
             except Exception as exc:  # noqa: BLE001 - partial kept
@@ -106,7 +105,7 @@ def _evaluate_wave(names, poset, evaluator, pool):
                     failure = (name, ExplorationError(payload))
                 continue
             try:
-                values[name] = as_measurement(payload, evaluator)
+                values[name] = require_measurement(payload, evaluator)
             except Exception as exc:  # noqa: BLE001 - partial kept
                 if failure is None:
                     failure = (name, exc)

@@ -160,8 +160,6 @@ class MetricsRegistry:
         #: SMP scheduler: core index -> dispatches on that core.
         self.core_dispatches = {}
         self.runqueue_depth = Histogram(RUNQUEUE_DEPTH_BUCKETS)
-        #: Datapath compiler: action -> occurrences.
-        self.compile = {}
 
     # -- recording hooks (called by the Tracer) --------------------------------
     def record_gate(self, src, dst, src_comp, dst_comp, kind, library,
@@ -257,11 +255,6 @@ class MetricsRegistry:
         if self.timeseries is not None:
             self.timeseries.bump("tlb.%s" % op)
 
-    def record_compile(self, op, n=1):
-        self.compile[op] = self.compile.get(op, 0) + n
-        if self.timeseries is not None:
-            self.timeseries.bump("compile.%s" % op, n)
-
     def record_reconfig(self, action):
         self.reconfig[action] = self.reconfig.get(action, 0) + 1
         if self.timeseries is not None:
@@ -321,8 +314,6 @@ class MetricsRegistry:
                 "core-%d" % core: {"dispatches": count}
                 for core, count in sorted(self.core_dispatches.items())
             }
-        if self.compile:
-            explore["compile"] = dict(sorted(self.compile.items()))
         histograms = {
             "gate_latency_cycles": {
                 "%s->%s" % pair: histogram.to_dict()

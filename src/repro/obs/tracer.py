@@ -45,7 +45,6 @@ CATEGORIES = (
     "explore",      # one exploration-engine wave scheduled
     "tlb",          # one permission-TLB hit, miss, or flush
     "reconfig",     # one live-reconfiguration phase or step
-    "compile",      # one datapath-compiler action (record/hit/deopt/...)
 )
 
 
@@ -142,9 +141,6 @@ class NullTracer:
         pass
 
     def tlb_op(self, op):
-        pass
-
-    def compile_op(self, op, n=1):
         pass
 
     def core_dispatch(self, core, depth, thread=None):
@@ -402,16 +398,6 @@ class Tracer:
         section (which appears only when the TLB actually ran).
         """
         self.metrics.record_tlb(op)
-
-    def compile_op(self, op, n=1):
-        """One datapath-compiler action (record, plan hit, deopt, ...).
-
-        Counter-only, like :meth:`tlb_op`: the engine fires these on
-        every specialized dispatch, so aggregates land in the metrics
-        snapshot's ``compile`` section (present only when the compiler
-        actually ran) instead of the event stream.
-        """
-        self.metrics.record_compile(op, n)
 
     def core_dispatch(self, core, depth, thread=None):
         """One SMP dispatch on ``core`` with ``depth`` threads left queued.

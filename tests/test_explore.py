@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import ComponentLayout
-from repro.apps.redis import REDIS_GET_PROFILE
-from repro.apps.base import evaluate_profile
 from repro.core.hardening import FIG6_HARDENING, Hardening
 from repro.errors import ExplorationError
 from repro.explore import (
@@ -15,7 +13,6 @@ from repro.explore import (
     Measurement,
     ProfileEvaluator,
     SyntheticEvaluator,
-    as_measurement,
     explore,
     generate_fig6_space,
     hardening_subsets,
@@ -23,7 +20,6 @@ from repro.explore import (
 )
 from repro.explore.configspace import FIG6_STRATEGIES, strategy_of
 from repro.explore.safety import comparable, partition_refines
-from repro.hw.costs import DEFAULT_COSTS
 
 
 def layout(name, partition, hardening=None, **kw):
@@ -237,19 +233,6 @@ class TestExplorer:
         assert summary["configurations"] == 80
         assert summary["evaluated"] + summary["pruned"] == 80
 
-    def test_legacy_callable_signature_warns_but_works(self):
-        """The pre-request positional API still answers, deprecated."""
-        layouts = generate_fig6_space()
-
-        def measure(l):
-            return evaluate_profile(
-                REDIS_GET_PROFILE, l, DEFAULT_COSTS, "redis",
-            )["requests_per_second"]
-
-        with pytest.deprecated_call():
-            legacy = explore(layouts, measure, budget=500_000)
-        assert legacy.recommended == self.run(budget=500_000).recommended
-
 
 class TestMeasurement:
     def test_value_coerced_to_float(self):
@@ -274,26 +257,6 @@ class TestMeasurement:
         """Migrations to .value must be explicit, not silent."""
         with pytest.raises(TypeError):
             Measurement(1.0) >= 0  # noqa: B015
-
-    def test_bare_float_shim_warns(self):
-        with pytest.deprecated_call():
-            shimmed = as_measurement(1234.0)
-        assert shimmed == Measurement(1234.0)
-        # A Measurement passes through silently and unchanged.
-        direct = Measurement(1.0, "slo_headroom")
-        assert as_measurement(direct) is direct
-
-    def test_shim_rejects_non_numeric(self):
-        with pytest.raises(ExplorationError):
-            as_measurement(None)
-        with pytest.raises(ExplorationError):
-            as_measurement(True)
-
-    def test_shim_inherits_evaluator_objective(self):
-        evaluator = SyntheticEvaluator().for_objective("slo_headroom")
-        with pytest.deprecated_call():
-            shimmed = as_measurement(2.0, evaluator)
-        assert shimmed.objective == "slo_headroom"
 
 
 class TestObjectiveApi:
@@ -336,12 +299,10 @@ class TestObjectiveApi:
         ))
         assert result.objective == "tail_at_rate"
 
-    def test_bare_float_evaluator_shims_through_explore(self):
-        with pytest.deprecated_call():
-            result = explore(ExplorationRequest(
+    def test_bare_callable_evaluator_rejected(self):
+        with pytest.raises(ExplorationError, match="cannot use"):
+            explore(ExplorationRequest(
                 layouts=generate_fig6_space(),
-                evaluator=lambda layout: 1.0,
+                evaluator=lambda layout: Measurement(1.0),
                 budget=0,
             ))
-        assert all(isinstance(v, Measurement)
-                   for v in result.measurements.values())

@@ -190,6 +190,15 @@ class FailsOn(Evaluator):
         return self.inner(layout)
 
 
+class ReturnsFloat(Evaluator):
+    """Picklable evaluator that returns a bare number, not a Measurement."""
+
+    name = "returns-float"  # deliberately not registered
+
+    def __call__(self, layout):
+        return 1.0
+
+
 class TestExceptionSafety:
     def expect_partial(self, request):
         with pytest.raises(ExplorationError) as info:
@@ -223,6 +232,23 @@ class TestExceptionSafety:
             explore_serial(self.request())
         assert "A/none" in info.value.partial.measurements
 
+    @pytest.mark.parametrize("engine", ["reference", "inline", "pool"])
+    def test_non_measurement_return_rejected(self, engine):
+        request = ExplorationRequest(
+            layouts=generate_fig6_space(), evaluator=ReturnsFloat(),
+            budget=0, jobs=2 if engine == "pool" else 1,
+        )
+        run = explore_serial if engine == "reference" else explore
+        with pytest.raises(ExplorationError, match="return a Measurement"):
+            run(request)
+
+
+class Unshareable(SyntheticEvaluator):
+    """An evaluator that declares it can be neither pooled nor cached."""
+
+    parallel_safe = False
+    cacheable = False
+
 
 class TestRequestValidation:
     def test_jobs_must_be_positive(self):
@@ -233,22 +259,36 @@ class TestRequestValidation:
             ))
 
     def test_closures_cannot_ride_the_pool(self):
-        with pytest.raises(ExplorationError, match="worker pool"):
+        with pytest.raises(ExplorationError, match="cannot use"):
             explore(ExplorationRequest(
                 layouts=generate_fig6_space(),
                 evaluator=lambda layout: 1.0, budget=1, jobs=2,
             ))
 
     def test_closures_cannot_be_cached(self, tmp_path):
-        with pytest.raises(ExplorationError, match="cache"):
+        with pytest.raises(ExplorationError, match="cannot use"):
             explore(ExplorationRequest(
                 layouts=generate_fig6_space(),
                 evaluator=lambda layout: 1.0, budget=1,
                 cache=str(tmp_path),
             ))
 
+    def test_unpoolable_evaluator_rejected(self):
+        with pytest.raises(ExplorationError, match="worker pool"):
+            explore(ExplorationRequest(
+                layouts=generate_fig6_space(),
+                evaluator=Unshareable(), budget=1, jobs=2,
+            ))
+
+    def test_uncacheable_evaluator_rejected(self, tmp_path):
+        with pytest.raises(ExplorationError, match="cache"):
+            explore(ExplorationRequest(
+                layouts=generate_fig6_space(),
+                evaluator=Unshareable(), budget=1, cache=str(tmp_path),
+            ))
+
     def test_request_plus_legacy_arguments_rejected(self):
-        with pytest.raises(ExplorationError, match="no extra arguments"):
+        with pytest.raises(TypeError):
             explore(ExplorationRequest(
                 layouts=generate_fig6_space(),
                 evaluator=SyntheticEvaluator(), budget=1,

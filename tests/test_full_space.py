@@ -4,7 +4,7 @@ import random
 
 from repro.bench import Wayfinder
 from repro.explore import (
-    CallableEvaluator,
+    Evaluator,
     ExplorationRequest,
     Measurement,
     ProfileEvaluator,
@@ -62,22 +62,33 @@ class TestFullSpace:
         assert len(full.passing) >= len(fig6.passing)
 
 
+class NoisyEvaluator(Evaluator):
+    """Wayfinder's repetition+median in front of a noisy measurement.
+
+    Draws from a live RNG, so it can be neither cached nor pooled.
+    """
+
+    name = "noisy-redis"  # deliberately not registered
+    parallel_safe = False
+    cacheable = False
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.wayfinder = Wayfinder()
+
+    def __call__(self, layout):
+        sweep = self.wayfinder.sweep([layout],
+                                     lambda l: EVALUATOR(l).value,
+                                     repetitions=5, noise=self.rng)
+        return Measurement(sweep.value_of(layout.name))
+
+
 class TestNoisyExploration:
     def test_noisy_measurements_still_certify(self):
         """With Wayfinder's repetition+median in front of a noisy
         measurement, the explorer's answer remains certifiable."""
-        rng = random.Random(7)
-        wayfinder = Wayfinder()
-
-        def noisy_measure(layout):
-            sweep = wayfinder.sweep([layout],
-                                    lambda l: EVALUATOR(l).value,
-                                    repetitions=5, noise=rng)
-            return Measurement(sweep.value_of(layout.name))
-
         result = run(generate_fig6_space(),
-                     evaluator=CallableEvaluator(noisy_measure,
-                                                 label="noisy-redis"))
+                     evaluator=NoisyEvaluator(random.Random(7)))
         assert certify(result).valid
         # The answer matches the noise-free one up to budget-line churn.
         clean = run(generate_fig6_space())
