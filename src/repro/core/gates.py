@@ -234,17 +234,8 @@ class MpkLightGate(Gate):
         if pkru is None:
             return None
         snap = pkru.snapshot()
-        if obs.ACTIVE.enabled:
-            # Traced path: per-key register writes, so the pkru event
-            # stream (and the counters the perf baselines pin) is exactly
-            # what the uncached gate emitted.
-            for key in self.src.private_keys():
-                pkru.deny(key)
-            for key in self.dst.allowed_keys():
-                pkru.allow(key)
-        else:
-            deny, allow = self._transition_masks()
-            pkru.apply_transition(deny, allow)
+        deny, allow = self._transition_masks()
+        pkru.apply_transition(deny, allow)
         return snap
 
     def _leave(self, ctx, state):

@@ -94,16 +94,16 @@ class PKRU:
         """Apply a precomputed gate transition as one register write.
 
         ``deny_mask`` keys lose all rights, then ``allow_mask`` keys gain
-        read+write — the batched equivalent of the per-key ``deny``/
-        ``allow`` loop a gate entry performs, collapsed into the single
-        ``wrpkru`` the real hardware would execute.  Gates use this only
-        with tracing disabled: the traced path keeps the per-key loop so
-        the ``pkru`` event stream (and its counters, pinned by the perf
-        baselines) is unchanged.
+        read+write — the per-key ``deny``/``allow`` sequence of a domain
+        switch collapsed into the single ``wrpkru`` the real hardware
+        executes, so it records exactly one ``transition`` write.
         """
         self._access_disable = (self._access_disable | deny_mask) & ~allow_mask
         self._write_disable = (self._write_disable | deny_mask) & ~allow_mask
         self.word = self._pack()
+        tracer = obs.ACTIVE
+        if tracer.enabled:
+            tracer.pkru_write("transition", None)
 
     def allowed_keys(self):
         """Set of keys with at least read access."""

@@ -44,6 +44,24 @@ RUNQUEUE_DEPTH_BUCKETS = (
 )
 
 
+class _SeriesNames(dict):
+    """Windowed-series names of one family, formatted once per suffix.
+
+    ``names[op]`` is ``fmt % op``; the recording hooks look names up
+    here instead of formatting a string on every sample.
+    """
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, suffix):
+        name = self[suffix] = self.fmt % suffix
+        return name
+
+
 class Histogram:
     """A fixed-bucket histogram with an overflow bucket.
 
@@ -160,6 +178,13 @@ class MetricsRegistry:
         #: SMP scheduler: core index -> dispatches on that core.
         self.core_dispatches = {}
         self.runqueue_depth = Histogram(RUNQUEUE_DEPTH_BUCKETS)
+        #: Windowed-series names the tee below formats once per suffix.
+        self._supervision_series = _SeriesNames("supervision.%s")
+        self._alloc_series = _SeriesNames("alloc.%s")
+        self._net_series = _SeriesNames("net.%s")
+        self._tlb_series = _SeriesNames("tlb.%s")
+        self._reconfig_series = _SeriesNames("reconfig.%s")
+        self._dispatch_series = _SeriesNames("sched.dispatches.core-%d")
 
     # -- recording hooks (called by the Tracer) --------------------------------
     def record_gate(self, src, dst, src_comp, dst_comp, kind, library,
@@ -194,7 +219,7 @@ class MetricsRegistry:
     def record_supervision(self, action):
         self.supervision[action] = self.supervision.get(action, 0) + 1
         if self.timeseries is not None:
-            self.timeseries.bump("supervision.%s" % action)
+            self.timeseries.bump(self._supervision_series[action])
 
     def record_alloc(self, op, region, size, fast):
         if op == "alloc":
@@ -207,7 +232,7 @@ class MetricsRegistry:
             self.frees += 1
         self.alloc_by_region[region] = self.alloc_by_region.get(region, 0) + 1
         if self.timeseries is not None:
-            self.timeseries.bump("alloc.%s" % op)
+            self.timeseries.bump(self._alloc_series[op])
 
     def record_context_switch(self):
         self.context_switches += 1
@@ -217,7 +242,7 @@ class MetricsRegistry:
     def record_tcp_segment(self, direction):
         self.tcp_segments[direction] = self.tcp_segments.get(direction, 0) + 1
         if self.timeseries is not None:
-            self.timeseries.bump("net.%s" % direction)
+            self.timeseries.bump(self._net_series[direction])
 
     def record_space_switch(self):
         self.space_switches += 1
@@ -253,12 +278,12 @@ class MetricsRegistry:
     def record_tlb(self, op):
         self.tlb[op] = self.tlb.get(op, 0) + 1
         if self.timeseries is not None:
-            self.timeseries.bump("tlb.%s" % op)
+            self.timeseries.bump(self._tlb_series[op])
 
     def record_reconfig(self, action):
         self.reconfig[action] = self.reconfig.get(action, 0) + 1
         if self.timeseries is not None:
-            self.timeseries.bump("reconfig.%s" % action)
+            self.timeseries.bump(self._reconfig_series[action])
 
     def record_reconfig_blackout(self, cycles, queued):
         self.reconfig_blackout.observe(cycles)
@@ -268,7 +293,7 @@ class MetricsRegistry:
         self.core_dispatches[core] = self.core_dispatches.get(core, 0) + 1
         self.runqueue_depth.observe(depth)
         if self.timeseries is not None:
-            self.timeseries.bump("sched.dispatches.core-%d" % core)
+            self.timeseries.bump(self._dispatch_series[core])
             self.timeseries.bump("sched.runqueue_depth", depth)
 
     # -- derived views ----------------------------------------------------------

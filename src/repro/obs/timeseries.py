@@ -22,6 +22,10 @@ Design constraints, in order:
 * **Bounded.**  At most ``ring`` windows are retained; the lowest index
   is evicted first, so the recorder always holds the most recent span of
   activity regardless of run length.
+* **Cheap per sample.**  The window the last sample resolved to stays
+  cached; a sample that falls in it costs one index check and one dict
+  add.  Any other sample takes the full lookup, so warps, eviction and
+  :attr:`~WindowedTelemetry.dropped` behave exactly as without the cache.
 * **Free in virtual time.**  Like the tracer, this module only *reads*
   ``clock.cycles``; it never charges.
 
@@ -50,9 +54,6 @@ class _Window:
         self.index = index
         self.counters = {}
         self.latency = {}
-
-    def bump(self, name, value):
-        self.counters[name] = self.counters.get(name, 0.0) + value
 
     def observe(self, name, value):
         stats = self.latency.get(name)
@@ -113,15 +114,17 @@ class WindowedTelemetry:
         self.samples = 0
         #: Windows evicted from the ring so far.
         self.evicted = 0
+        #: The retained window the last accepted sample resolved to (None
+        #: until the first sample).  Only :meth:`_window_at` sets it, and
+        #: it evicts nothing but the lowest index, so the cached window is
+        #: always still in the ring.
+        self._current = None
 
     def bind_clock(self, clock):
         """Attach the clock samples are stamped with (idempotent)."""
         self.clock = clock
 
     # -- ingest ----------------------------------------------------------------
-    def _now(self):
-        return self.clock.cycles if self.clock is not None else 0.0
-
     def window_index(self, ts):
         """The window a virtual timestamp falls in."""
         return int(ts // self.window_cycles)
@@ -139,21 +142,37 @@ class WindowedTelemetry:
                 del self._windows[evict]
                 self.evicted += 1
                 self._floor = evict + 1
+        if index >= self._floor:
+            # Not the window just evicted (a late sample below every
+            # retained index, ring full): that one still takes this
+            # sample but must not serve the next.
+            self._current = window
         return window
 
     def bump(self, name, value=1.0, ts=None):
         """Add ``value`` to counter ``name`` in the current window."""
-        window = self._window_at(self._now() if ts is None else ts)
-        if window is not None:
-            self.samples += 1
-            window.bump(name, value)
+        if ts is None:
+            ts = self.clock.cycles if self.clock is not None else 0.0
+        window = self._current
+        if window is None or ts // self.window_cycles != window.index:
+            window = self._window_at(ts)
+            if window is None:
+                return
+        self.samples += 1
+        counters = window.counters
+        counters[name] = counters.get(name, 0.0) + value
 
     def observe(self, name, value, ts=None):
         """Record one latency/size observation in the current window."""
-        window = self._window_at(self._now() if ts is None else ts)
-        if window is not None:
-            self.samples += 1
-            window.observe(name, value)
+        if ts is None:
+            ts = self.clock.cycles if self.clock is not None else 0.0
+        window = self._current
+        if window is None or ts // self.window_cycles != window.index:
+            window = self._window_at(ts)
+            if window is None:
+                return
+        self.samples += 1
+        window.observe(name, value)
 
     # -- read API ---------------------------------------------------------------
     def windows(self):

@@ -173,7 +173,10 @@ class Tracer:
         metrics: a :class:`~repro.obs.metrics.MetricsRegistry` to
             aggregate into; a fresh one is created when omitted.
         keep_events: set False to aggregate metrics only (long campaigns
-            that do not need the event stream).
+            that do not need the event stream).  Hooks then build no
+            :class:`TraceEvent` (nor its ``args`` dict, nor a gate span's
+            folded ``stack``); metrics, spans and core stamping are
+            unchanged.
     """
 
     enabled = True
@@ -197,13 +200,14 @@ class Tracer:
         return self.clock.cycles if self.clock is not None else 0.0
 
     def _record(self, event):
-        if self.keep_events:
-            event.core = self.current_core
-            self.events.append(event)
+        """Append ``event``; hooks call this only when ``keep_events``."""
+        event.core = self.current_core
+        self.events.append(event)
 
     def instant(self, name, cat, **args):
         """Record a free-form instant event (rarely needed directly)."""
-        self._record(TraceEvent(name, cat, self._now(), args=args))
+        if self.keep_events:
+            self._record(TraceEvent(name, cat, self._now(), args=args))
 
     # -- gate crossings (spans) ------------------------------------------------
     def gate_begin(self, gate, ctx, library):
@@ -215,9 +219,10 @@ class Tracer:
         label = "%s->%s:%s" % (gate.src.name, gate.dst.name, library)
         frame = [label, 0.0]
         self._stack.append(frame)
+        stack = (tuple(entry[0] for entry in self._stack)
+                 if self.keep_events else None)
         return (gate, library, ctx.current_library, ctx.clock.cycles,
-                ctx.gate_depth, frame,
-                tuple(entry[0] for entry in self._stack))
+                ctx.gate_depth, frame, stack)
 
     def gate_end(self, token, ctx, status="ok", overhead=0.0):
         """Close a crossing span opened by :meth:`gate_begin`.
@@ -235,25 +240,25 @@ class Tracer:
             self._stack.pop()
         if self._stack:
             self._stack[-1][1] += duration
-        self_cycles = max(0.0, duration - frame[1])
-        self._record(TraceEvent(
-            frame[0], "gate", begin, dur=duration,
-            args={
-                "kind": gate.kind,
-                "src": gate.src.name,
-                "dst": gate.dst.name,
-                "src_comp": gate.src.index,
-                "dst_comp": gate.dst.index,
-                "library": library,
-                "src_library": src_library,
-                "depth": depth,
-                "one_way_cost": gate.one_way_cost(),
-                "status": status,
-                "self_cycles": self_cycles,
-                "overhead_cycles": overhead,
-                "stack": stack,
-            },
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                frame[0], "gate", begin, dur=duration,
+                args={
+                    "kind": gate.kind,
+                    "src": gate.src.name,
+                    "dst": gate.dst.name,
+                    "src_comp": gate.src.index,
+                    "dst_comp": gate.dst.index,
+                    "library": library,
+                    "src_library": src_library,
+                    "depth": depth,
+                    "one_way_cost": gate.one_way_cost(),
+                    "status": status,
+                    "self_cycles": max(0.0, duration - frame[1]),
+                    "overhead_cycles": overhead,
+                    "stack": stack,
+                },
+            ))
         self.metrics.record_gate(
             gate.src.name, gate.dst.name, gate.src.index, gate.dst.index,
             gate.kind, library, duration,
@@ -290,35 +295,44 @@ class Tracer:
 
     # -- instant hooks ----------------------------------------------------------
     def pkru_write(self, op, key):
-        """One write to the PKRU register (``allow``/``deny``/``restore``)."""
-        self._record(TraceEvent(
-            "pkru-%s" % op, "pkru", self._now(),
-            args={"op": op, "key": key},
-        ))
+        """One write to the PKRU register: a gate's ``transition`` or
+        ``restore``, or a per-key ``allow``/``deny`` at boot and
+        reconfiguration."""
+        if self.keep_events:
+            self._record(TraceEvent(
+                "pkru-%s" % op, "pkru", self._now(),
+                args={"op": op, "key": key},
+            ))
         self.metrics.record_pkru_write(op)
 
     def fault(self, fault_type, **args):
         """A protection or injected fault fired."""
-        self._record(TraceEvent(fault_type, "fault", self._now(), args=args))
+        if self.keep_events:
+            self._record(TraceEvent(fault_type, "fault", self._now(),
+                                    args=args))
         self.metrics.record_fault(fault_type)
 
     def supervision(self, compartment, action, fault_type, attempt, **args):
         """The supervisor decided what one compartment fault becomes."""
-        args.update({"compartment": compartment, "fault": fault_type,
-                     "attempt": attempt})
-        self._record(TraceEvent(
-            "supervise-%s" % action, "supervisor", self._now(), args=args,
-        ))
+        if self.keep_events:
+            args.update({"compartment": compartment, "fault": fault_type,
+                         "attempt": attempt})
+            self._record(TraceEvent(
+                "supervise-%s" % action, "supervisor", self._now(),
+                args=args,
+            ))
         self.metrics.record_supervision(action)
 
     def alloc_op(self, op, region, size, fast=None):
         """One allocator operation (``alloc``/``free``), fast or slow path."""
-        self._record(TraceEvent(
-            "%s-%s" % (op, "fast" if fast else "slow")
-            if op == "alloc" else op,
-            "alloc", self._now(),
-            args={"op": op, "region": region, "bytes": size, "fast": fast},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "%s-%s" % (op, "fast" if fast else "slow")
+                if op == "alloc" else op,
+                "alloc", self._now(),
+                args={"op": op, "region": region, "bytes": size,
+                      "fast": fast},
+            ))
         self.metrics.record_alloc(op, region, size, fast)
 
     def context_switch(self, previous, current):
@@ -328,64 +342,72 @@ class Tracer:
         closes a request span's post-entry linger window (see
         :meth:`repro.obs.spans.SpanTracker.on_thread_dispatch`).
         """
-        self._record(TraceEvent(
-            "switch", "sched", self._now(),
-            args={"from": previous, "to": current},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "switch", "sched", self._now(),
+                args={"from": previous, "to": current},
+            ))
         self.metrics.record_context_switch()
         if self.spans is not None:
             self.spans.on_thread_dispatch(current)
 
     def tcp_segment(self, direction, flags, nbytes, port=None):
         """One TCP segment left (``tx``) or reached (``rx``) the stack."""
-        self._record(TraceEvent(
-            "tcp-%s" % direction, "net", self._now(),
-            args={"direction": direction, "flags": flags, "bytes": nbytes,
-                  "port": port},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "tcp-%s" % direction, "net", self._now(),
+                args={"direction": direction, "flags": flags,
+                      "bytes": nbytes, "port": port},
+            ))
         self.metrics.record_tcp_segment(direction)
 
     def space_switch(self, previous, current, direction):
         """The execution context moved to another VM's address space."""
-        self._record(TraceEvent(
-            "as-switch", "ept", self._now(),
-            args={"from": previous, "to": current, "direction": direction},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "as-switch", "ept", self._now(),
+                args={"from": previous, "to": current,
+                      "direction": direction},
+            ))
         self.metrics.record_space_switch()
 
     def window_alloc(self, space, nbytes, offset, wrapped):
         """One descriptor allocation in the inter-VM shared window."""
-        self._record(TraceEvent(
-            "ivshmem-alloc", "ept", self._now(),
-            args={"space": space, "bytes": nbytes, "offset": offset,
-                  "wrapped": wrapped},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "ivshmem-alloc", "ept", self._now(),
+                args={"space": space, "bytes": nbytes, "offset": offset,
+                      "wrapped": wrapped},
+            ))
         self.metrics.record_window_alloc(nbytes, wrapped)
 
     def irq(self, line, handlers):
         """One interrupt delivered through the first-level handler."""
-        self._record(TraceEvent(
-            "irq-%d" % line, "irq", self._now(),
-            args={"line": line, "handlers": handlers},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "irq-%d" % line, "irq", self._now(),
+                args={"line": line, "handlers": handlers},
+            ))
         self.metrics.record_irq(line)
 
     def fs_op(self, layer, op):
         """One filesystem operation (``vfscore`` or ``ramfs`` layer)."""
-        self._record(TraceEvent(
-            "%s-%s" % (layer, op), "fs", self._now(),
-            args={"layer": layer, "op": op},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "%s-%s" % (layer, op), "fs", self._now(),
+                args={"layer": layer, "op": op},
+            ))
         self.metrics.record_fs_op(layer, op)
 
     def explore_wave(self, index, scheduled, evaluated, cache_hits, pruned):
         """The exploration engine finished one antichain wave."""
-        self._record(TraceEvent(
-            "wave-%d" % index, "explore", self._now(),
-            args={"wave": index, "scheduled": scheduled,
-                  "evaluated": evaluated, "cache_hits": cache_hits,
-                  "pruned": pruned},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "wave-%d" % index, "explore", self._now(),
+                args={"wave": index, "scheduled": scheduled,
+                      "evaluated": evaluated, "cache_hits": cache_hits,
+                      "pruned": pruned},
+            ))
         self.metrics.record_explore_wave(scheduled, evaluated, cache_hits,
                                          pruned)
 
@@ -420,18 +442,20 @@ class Tracer:
     def reconfig(self, action, **args):
         """One live-reconfiguration action (plan, phase entry, step,
         commit, rollback, resume, harden)."""
-        self._record(TraceEvent(
-            "reconfig-%s" % action, "reconfig", self._now(), args=args,
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "reconfig-%s" % action, "reconfig", self._now(), args=args,
+            ))
         self.metrics.record_reconfig(action)
 
     def reconfig_blackout(self, cycles, queued):
         """The blackout window of one migration: virtual cycles between
         QUIESCE entry and RESUME, with ``queued`` requests waiting."""
-        self._record(TraceEvent(
-            "reconfig-blackout", "reconfig", self._now(),
-            args={"cycles": cycles, "queued": queued},
-        ))
+        if self.keep_events:
+            self._record(TraceEvent(
+                "reconfig-blackout", "reconfig", self._now(),
+                args={"cycles": cycles, "queued": queued},
+            ))
         self.metrics.record_reconfig_blackout(cycles, queued)
 
     # -- introspection ----------------------------------------------------------

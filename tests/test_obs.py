@@ -26,10 +26,13 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.faults.supervisor import Decision, Policy
+from repro.hw.mpk import PKRU
 from repro.kernel.lib import entrypoint
 from repro.obs import (
     NULL_TRACER,
     Histogram,
+    SloTarget,
+    TelemetryHub,
     Tracer,
     chrome_trace,
     chrome_trace_json,
@@ -40,6 +43,8 @@ from repro.obs import (
     tracing,
     uninstall_tracer,
 )
+from repro.obs import tracer as tracer_module
+from repro.obs.tracer import TraceEvent
 from tests.conftest import make_config
 from tests.test_faults import armed_instance, boot
 
@@ -244,6 +249,130 @@ class TestInstantHooks:
                     if name.startswith("injected:")]
         assert injected
         assert tracer.metrics.supervision  # decisions were traced too
+
+
+def _record_pkru_words(monkeypatch):
+    """Log ``(op, word)`` after every gate transition and restore."""
+    log = []
+    transition, restore = PKRU.apply_transition, PKRU.restore
+
+    def logged_transition(self, deny_mask, allow_mask):
+        transition(self, deny_mask, allow_mask)
+        log.append(("transition", self.word))
+
+    def logged_restore(self, snap):
+        restore(self, snap)
+        log.append(("restore", self.word))
+
+    monkeypatch.setattr(PKRU, "apply_transition", logged_transition)
+    monkeypatch.setattr(PKRU, "restore", logged_restore)
+    return log
+
+
+class TestSinglePkruPath:
+    """Traced or not, an MPK crossing is one ``wrpkru`` in and one out."""
+
+    @pytest.fixture(params=["light", "full"])
+    def runs(self, request, monkeypatch):
+        words = {}
+        results = {}
+        for trace in (False, True):
+            log = _record_pkru_words(monkeypatch)
+            results[trace] = run_functional_redis(
+                "intel-mpk", n_requests=20, mpk_gate=request.param,
+                trace=trace)
+            words[trace] = log
+            monkeypatch.undo()
+        return results, words
+
+    def test_tracing_moves_no_virtual_cycle(self, runs):
+        results, _ = runs
+        assert results[True].elapsed_cycles == results[False].elapsed_cycles
+        assert results[True].ctx.transitions == results[False].ctx.transitions
+
+    def test_same_register_word_after_every_write(self, runs):
+        _, words = runs
+        assert words[True] == words[False]
+        assert words[True]
+
+    def test_two_writes_per_crossing(self, runs):
+        results, words = runs
+        tracer = results[True].tracer
+        metrics = tracer.metrics
+        crossings = metrics.total_crossings()
+        assert crossings == sum(results[True].ctx.transitions.values()) > 0
+        assert metrics.pkru_writes == 2 * crossings
+        assert metrics.pkru_writes == len(tracer.events_in("pkru"))
+        assert metrics.pkru_writes == len(words[True])
+        names = [event.name for event in tracer.events_in("pkru")]
+        assert names.count("pkru-transition") == crossings
+        assert names.count("pkru-restore") == crossings
+
+
+class CountedTraceEvent(TraceEvent):
+    """A TraceEvent that counts its constructions."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        CountedTraceEvent.built += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestEventlessTracer:
+    """``keep_events=False`` builds no event yet aggregates the same."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(CountedTraceEvent, "built", 0)
+        monkeypatch.setattr(tracer_module, "TraceEvent", CountedTraceEvent)
+        return CountedTraceEvent
+
+    @staticmethod
+    def _hub():
+        return TelemetryHub(window_cycles=100_000.0, slo_targets=(
+            SloTarget("p99-5us", 11_000.0, objective=0.99),))
+
+    def _load(self, app, mechanism, keep_events):
+        tracer = Tracer(keep_events=keep_events)
+        run_load(app, mechanism, rate_rps=400_000.0, n_requests=48,
+                 seed=1, cores=2, connections=2, tracer=tracer)
+        return tracer
+
+    @pytest.mark.parametrize("app,mechanism", [
+        ("redis", "intel-mpk"), ("sqlite", "vm-ept"),
+    ])
+    def test_load_run_builds_no_event(self, counted, app, mechanism):
+        quiet = self._load(app, mechanism, keep_events=False)
+        assert counted.built == 0
+        assert quiet.events == []
+        kept = self._load(app, mechanism, keep_events=True)
+        assert counted.built == len(kept.events) > 0
+        assert quiet.metrics.snapshot() == kept.metrics.snapshot()
+
+    def test_fault_campaign_builds_no_event(self, counted):
+        config = CampaignConfig(mechanism="intel-mpk", seed=3, n_faults=10)
+        with tracing(Tracer(keep_events=False)) as quiet:
+            run_campaign(config)
+        assert counted.built == 0
+        with tracing(Tracer()) as kept:
+            run_campaign(config)
+        assert kept.events_in("fault") and kept.events_in("supervisor")
+        assert quiet.metrics.snapshot() == kept.metrics.snapshot()
+
+    def test_hub_run_is_unchanged_by_keeping_events(self, counted):
+        snapshots = {}
+        for keep_events in (False, True):
+            hub = self._hub()
+            result = run_load("redis", "intel-mpk", rate_rps=400_000.0,
+                              n_requests=48, seed=1, cores=2,
+                              connections=2, hub=hub, trace=keep_events)
+            if not keep_events:
+                assert counted.built == 0
+            assert result.tracer.keep_events is keep_events
+            assert hub.spans.check_all() == 48
+            snapshots[keep_events] = (hub.snapshot(), hub.metrics.snapshot())
+        assert snapshots[False] == snapshots[True]
 
 
 class AlwaysRetryPolicy(Policy):

@@ -9,6 +9,7 @@ byte-identically on rerun.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -161,3 +162,91 @@ class TestSnapshotDeterminism:
             else:
                 rerun.observe("lat", ts, ts=ts)
         assert _snapshot_json(rerun) == _snapshot_json(t)
+
+
+class UncachedTelemetry(WindowedTelemetry):
+    """Forgets the cached window before every sample, so each one takes
+    the full window lookup — the reference the cache must match."""
+
+    def bump(self, name, value=1.0, ts=None):
+        self._current = None
+        super().bump(name, value, ts=ts)
+
+    def observe(self, name, value, ts=None):
+        self._current = None
+        super().observe(name, value, ts=ts)
+
+
+class FakeClock:
+    cycles = 0.0
+
+
+@st.composite
+def warped_streams(draw):
+    """A window width (often non-integer) and a sample stream whose
+    timestamps jump backwards, sit exactly on window edges or one ulp
+    either side, or come from the clock (``ts=None``)."""
+    width = draw(st.one_of(
+        st.sampled_from([100.0, 0.1, 1.0 / 3.0, 7.3, 1e-3 * 1234.5]),
+        st.floats(0.05, 400.0, allow_nan=False, allow_infinity=False),
+    ))
+    edge = st.integers(0, 40).map(lambda k: k * width)
+    timestamp = st.one_of(
+        st.floats(0.0, 40.0 * width, allow_nan=False,
+                  allow_infinity=False),
+        edge,
+        edge.map(lambda ts: math.nextafter(ts, math.inf)),
+        edge.map(lambda ts: math.nextafter(ts, -math.inf)),
+        st.none(),
+    )
+    stream = draw(st.lists(
+        st.tuples(st.booleans(), timestamp, st.floats(0.0, 1e6)),
+        max_size=120,
+    ))
+    clock_ticks = draw(st.lists(
+        st.floats(0.0, 40.0 * width, allow_nan=False,
+                  allow_infinity=False),
+        min_size=1, max_size=8,
+    ))
+    return width, stream, clock_ticks
+
+
+class TestCachedWindow:
+    """The cached current window changes no snapshot, ever."""
+
+    @given(ring=st.integers(1, 3), case=warped_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_cached_equals_uncached(self, ring, case):
+        width, stream, clock_ticks = case
+        telemetries = []
+        for cls in (WindowedTelemetry, UncachedTelemetry):
+            clock = FakeClock()
+            t = cls(clock=clock, window_cycles=width, ring=ring)
+            for i, (is_counter, ts, value) in enumerate(stream):
+                clock.cycles = clock_ticks[i % len(clock_ticks)]
+                if is_counter:
+                    t.bump("x", value, ts=ts)
+                else:
+                    t.observe("lat", value, ts=ts)
+            telemetries.append(t)
+        cached, uncached = telemetries
+        assert cached.snapshot() == uncached.snapshot()
+        assert _snapshot_json(cached) == _snapshot_json(uncached)
+
+    def test_sample_after_its_window_is_evicted_is_dropped(self):
+        t = WindowedTelemetry(window_cycles=100.0, ring=1)
+        t.bump("x", 1.0, ts=50.0)        # window 0 cached
+        t.bump("x", 1.0, ts=150.0)       # evicts window 0
+        t.bump("x", 1.0, ts=60.0)        # must not hit the stale cache
+        assert t.dropped == 1
+        assert t.samples == 2
+
+    def test_late_window_evicted_on_arrival_is_not_cached(self):
+        t = WindowedTelemetry(window_cycles=100.0, ring=1)
+        t.bump("x", 1.0, ts=250.0)       # window 2
+        t.bump("x", 1.0, ts=150.0)       # window 1: created, then evicted
+        t.bump("x", 1.0, ts=160.0)       # window 1 is below the floor now
+        assert [w.index for w in t.windows()] == [2]
+        assert t.evicted == 1
+        assert t.dropped == 1
+        assert t.samples == 2
