@@ -29,7 +29,6 @@ from repro.kernel.sched import yield_
 from repro.obs import SloTarget, TelemetryHub
 from repro.reconfig.driver import DEFAULT_ISOLATE, reconfig_config
 from repro.reconfig.engine import ReconfigurationEngine
-from repro.reconfig.policy import HardenOnFaultPolicy
 
 #: Quiet — spike — quiet: the canonical load-shift scenario.
 DEFAULT_SCHEDULE = ((9000.0, 48), (26000.0, 96), (9000.0, 48))
@@ -119,11 +118,10 @@ def run_autotune_redis(mechanism="intel-mpk", mpk_gate="full",
         )
         harden = None
         if fault_burst is not None:
-            supervisor_policy = make_policy("harden", after=harden_after,
-                                            inner="degrade")
-            instance.supervisor.set_default_policy(supervisor_policy)
+            harden = make_policy("harden", after=harden_after,
+                                 inner="degrade")
+            instance.supervisor.set_default_policy(harden)
             holder["injector"] = instance.attach_injector(FaultInjector())
-            harden = HardenOnFaultPolicy(supervisor_policy)
         loop = AutotuneLoop(hub, engine, policy, harden_policy=harden,
                             every_windows=every_windows,
                             cooldown_windows=cooldown_windows)

@@ -1,19 +1,21 @@
 """The closed loop: sample telemetry, consult policies, pace migrations.
 
 :class:`AutotuneLoop` is the only component allowed to call
-:meth:`~repro.reconfig.engine.ReconfigurationEngine.migrate`; policies
-(:class:`~repro.autotune.policy.AutotunePolicy`, :class:`~repro.reconfig
-.policy.HardenOnFaultPolicy`) only *propose*.  That split is what makes
+:meth:`~repro.reconfig.engine.ReconfigurationEngine.migrate`; the
+autotune policy (:class:`~repro.autotune.policy.AutotunePolicy`) only
+*decides*, and the supervisor's :class:`~repro.faults.supervisor
+.HardenPolicy` only *queues* fault pressure.  That split is what makes
 the pacing invariants checkable: the loop samples every
 ``every_windows`` telemetry windows, and after any committed migration
-refuses further migrations — from *either* policy — until
+refuses further migrations — harden or autotune — until
 ``cooldown_windows`` windows have passed, journalling the held-back
 decision instead.
 
-Fault pressure outranks performance: when the harden policy proposes, it
-is served first, the sampled step journals that instead of the autotune
-decision, and a committed harden raises the autotune policy's
-admissibility floor so the tuner can never undo the hardening.
+Fault pressure outranks performance: when the harden queue is non-empty,
+the loop drains it, picks the next ladder rung with
+:func:`~repro.reconfig.harden.harden_target`, and journals that instead
+of the autotune decision; a committed harden raises the autotune
+policy's admissibility floor so the tuner can never undo the hardening.
 
 The loop runs as an ordinary cooperative thread
 (:meth:`AutotuneLoop.thread_body` plugs into ``run_load``'s
@@ -27,8 +29,7 @@ from repro.autotune.journal import DecisionJournal
 from repro.autotune.policy import rung_name
 from repro.errors import ConfigError
 from repro.kernel.sched import yield_
-from repro.reconfig.harden import ladder_position
-from repro.reconfig.policy import PolicyState
+from repro.reconfig.harden import harden_target, ladder_position
 
 
 def signal_digest(signal):
@@ -105,48 +106,44 @@ class AutotuneLoop:
     def step(self, window):
         """Sample the hub once and act; called from the loop thread."""
         signal = self.hub.evaluator_input()
-        state = PolicyState(instance=self.engine.instance,
-                            engine=self.engine, signal=signal,
-                            window=window)
         digest = signal_digest(signal)
         in_cooldown = window < self.cooldown_until
-        entry = None
-        if self.harden_policy is not None:
-            proposal = self.harden_policy.propose(state)
-            if proposal is not None:
-                entry = self._step_harden(window, proposal, digest,
-                                          in_cooldown)
-        if entry is None:
-            entry = self._step_autotune(state, window, digest, in_cooldown)
+        pending = (self.harden_policy.take_pending()
+                   if self.harden_policy is not None else [])
+        if pending:
+            entry = self._step_harden(window, pending, digest, in_cooldown)
+        else:
+            entry = self._step_autotune(signal, window, digest, in_cooldown)
         self.steps += 1
         return entry
 
-    def _step_harden(self, window, proposal, digest, in_cooldown):
-        current = self.policy.current_rung(self.engine.instance)
+    def _step_harden(self, window, pending, digest, in_cooldown):
+        instance = self.engine.instance
         common = dict(window=window, policy="harden-on-fault",
-                      current=current, trigger=proposal.trigger,
+                      current=self.policy.current_rung(instance),
+                      trigger={"kind": "fault-pressure",
+                               "compartments": pending},
                       signal=digest,
                       cooldown_until_window=self.cooldown_until)
-        if proposal.target is None:
+        target = harden_target(instance.image.config)
+        if target is None:
             return self.journal.record(reason="at-ladder-top", **common)
         if in_cooldown:
             return self.journal.record(reason="cooldown", **common)
-        chosen = rung_name(proposal.target.mechanism,
-                           proposal.target.mpk_gate)
-        outcome = self._execute(window, proposal.target)
+        chosen = rung_name(target.mechanism, target.mpk_gate)
+        outcome = self._execute(window, target)
         if outcome.get("outcome") == "committed":
             # Hardening is a floor, not a suggestion: the tuner may
             # never propose anything weaker from here on.
-            position = ladder_position(proposal.target.mechanism,
-                                       proposal.target.mpk_gate)
+            position = ladder_position(target.mechanism, target.mpk_gate)
             if position > self.policy.floor:
                 self.policy.floor = position
             common["cooldown_until_window"] = self.cooldown_until
         return self.journal.record(reason="hardened", chosen=chosen,
                                    migration=outcome, **common)
 
-    def _step_autotune(self, state, window, digest, in_cooldown):
-        decision = self.policy.decide(state)
+    def _step_autotune(self, signal, window, digest, in_cooldown):
+        decision = self.policy.decide(self.engine.instance, signal, window)
         self.fresh_evaluations += decision.fresh_evaluations
         self.cache_hits += decision.cache_hits
         common = dict(window=window, policy=self.policy.name,

@@ -14,13 +14,16 @@ loop.  Each decision it:
    current rung's own predicted value by ``min_improvement`` (absolute,
    in objective units), so noise never thrashes the engine.
 
-Admissibility is a ladder *floor* (:attr:`AutotunePolicy.floor`): the
-loop raises it when fault pressure hardens the instance, and the policy
-then never proposes a layout below it — fault history constrains what
-performance tuning may pick, the paper's safety-first ordering applied
-at run time.
+Admissibility is a ladder *floor* (:attr:`AutotunePolicy.floor`,
+starting at the ladder's bottom): the loop, its one writer, raises it
+when fault pressure hardens the instance, and the policy then never
+proposes a layout below it — fault history constrains what performance
+tuning may pick, the paper's safety-first ordering applied at run time.
+Fault pressure itself is not decided here: the supervisor's
+:class:`~repro.faults.supervisor.HardenPolicy` queues it and the loop
+serves it first.
 
-Every decision — proposal or not — is returned as a rich
+Every decision — migration or not — is returned as a rich
 :class:`Decision` so the loop can journal the full chain: signal
 snapshot, trigger, candidate ranking, chosen target, reason.
 """
@@ -37,11 +40,6 @@ from repro.explore.explorer import ExplorationRequest, explore
 from repro.explore.measurement import OBJECTIVES
 from repro.reconfig.driver import reconfig_config
 from repro.reconfig.harden import HARDEN_LADDER, ladder_position
-from repro.reconfig.policy import (
-    Proposal,
-    ReconfigurationPolicy,
-    register_reconfig_policy,
-)
 
 #: Components priced as "everything not isolated" in ladder layouts.
 CORE_GROUP = ("core",)
@@ -105,16 +103,16 @@ class Decision:
     cache_hits: int = 0
 
 
-@register_reconfig_policy
-class AutotunePolicy(ReconfigurationPolicy):
+class AutotunePolicy:
     """Telemetry-triggered exploration over the harden ladder."""
 
+    #: The ``policy`` field of this policy's journal entries.
     name = "autotune"
 
     def __init__(self, burn_threshold=1.0, gate_share_threshold=0.6,
                  min_improvement=0.02, recent_windows=4,
                  objective="slo_headroom", slo_name=None,
-                 isolate=("lwip",), cache=None, floor=0):
+                 isolate=("lwip",), cache=None):
         if objective not in OBJECTIVES:
             raise ConfigError(
                 "unknown objective %r (one of: %s)"
@@ -122,11 +120,6 @@ class AutotunePolicy(ReconfigurationPolicy):
             )
         if recent_windows < 1:
             raise ConfigError("recent_windows must be >= 1")
-        if not 0 <= floor < len(HARDEN_LADDER):
-            raise ConfigError(
-                "floor must index the ladder (0..%d), got %r"
-                % (len(HARDEN_LADDER) - 1, floor)
-            )
         self.burn_threshold = float(burn_threshold)
         self.gate_share_threshold = float(gate_share_threshold)
         self.min_improvement = float(min_improvement)
@@ -136,7 +129,7 @@ class AutotunePolicy(ReconfigurationPolicy):
         self.isolate = tuple(isolate)
         self.cache = cache
         #: Lowest admissible ladder rung; raised by the loop on harden.
-        self.floor = int(floor)
+        self.floor = 0
         self.layouts = ladder_layouts(self.isolate)
 
     # -- signal plumbing ---------------------------------------------------
@@ -183,7 +176,7 @@ class AutotunePolicy(ReconfigurationPolicy):
 
     # -- ranking -----------------------------------------------------------
 
-    def _rank(self, state, signal):
+    def _rank(self, instance, signal):
         """Explore admissible rungs under the live signal; best first."""
         name, slo = self._slo(signal)
         threshold = error_budget = None
@@ -193,7 +186,7 @@ class AutotunePolicy(ReconfigurationPolicy):
         objective = self.objective
         if threshold is None and objective == "slo_headroom":
             objective = "throughput"  # headroom is undefined without an SLO
-        image = state.instance.image
+        image = instance.image
         evaluator = LiveEvaluator(
             signal, image.backend_name,
             source_mpk_gate=image.config.mpk_gate,
@@ -220,21 +213,19 @@ class AutotunePolicy(ReconfigurationPolicy):
 
     # -- decisions ---------------------------------------------------------
 
-    def decide(self, state):
+    def decide(self, instance, signal, window):
         """The full :class:`Decision` for one sampled window."""
-        signal = state.signal
-        window = state.window
         if not signal or not any(
             w.get("requests", 0) > 0 for w in signal.get("windows", ())
         ):
-            current = (self.current_rung(state.instance)
-                       if state.instance is not None else "unknown")
+            current = (self.current_rung(instance)
+                       if instance is not None else "unknown")
             return Decision(window, current, reason="no-signal")
-        current = self.current_rung(state.instance)
+        current = self.current_rung(instance)
         trigger = self._trigger(signal)
         if trigger is None:
             return Decision(window, current, reason="no-trigger")
-        ranking, result = self._rank(state, signal)
+        ranking, result = self._rank(instance, signal)
         best = ranking[0]
         stats = {"fresh_evaluations": result.fresh_evaluations,
                  "cache_hits": result.cache_hits}
@@ -254,11 +245,3 @@ class AutotunePolicy(ReconfigurationPolicy):
         return Decision(window, current, trigger, ranking,
                         chosen=best["layout"], reason="migrate",
                         target=target, **stats)
-
-    def propose(self, state):
-        """Protocol adapter: the decision's migration, or ``None``."""
-        decision = self.decide(state)
-        if decision.target is None:
-            return None
-        return Proposal(decision.target, "autotune:%s" % decision.reason,
-                        decision.trigger, decision.ranking)

@@ -9,10 +9,8 @@ reports.
 
 from repro.bench.runner import SweepResult, Wayfinder
 from repro.bench.tables import format_bars, format_series, format_table
-from repro.bench.trace import ProfileRecorder
 
 __all__ = [
-    "ProfileRecorder",
     "SweepResult",
     "Wayfinder",
     "format_bars",

@@ -48,9 +48,7 @@ class ProfileRecorder:
         self.instance = instance
         self.app_library = app_library
         self._work_before = None
-        self._transitions_before = None
         self.work_delta = {}
-        self.transition_delta = {}
         #: Gate spans recorded during the block (per-crossing library
         #: attribution for :meth:`component_crossings`).
         self.gate_events = []
@@ -67,7 +65,6 @@ class ProfileRecorder:
             tracer = Tracer(clock=self.instance.clock)
             scope, events_before = tracing(tracer), 0
         self._work_before = dict(ctx.work_by_library)
-        self._transitions_before = dict(ctx.transitions)
         try:
             with scope:
                 yield self
@@ -80,11 +77,6 @@ class ProfileRecorder:
                 lib: cycles - self._work_before.get(lib, 0.0)
                 for lib, cycles in ctx.work_by_library.items()
                 if cycles - self._work_before.get(lib, 0.0) > 0
-            }
-            self.transition_delta = {
-                pair: count - self._transitions_before.get(pair, 0)
-                for pair, count in ctx.transitions.items()
-                if count - self._transitions_before.get(pair, 0) > 0
             }
 
     def _component_of(self, library):
@@ -109,49 +101,25 @@ class ProfileRecorder:
             work[component] = work.get(component, 0.0) + cycles / n_requests
         return work
 
-    def _dominant_component(self, comp_index):
-        """The component that did the most recorded work in a compartment.
-
-        Fallback attribution for transition counts with no matching gate
-        spans: weight each co-hosted component by the work its libraries
-        charged during the block (alphabetical tie-break, determinism).
-        """
-        weights = {}
-        for library in self.instance.image.compartments[comp_index].libraries:
-            component = self._component_of(library)
-            weights[component] = (
-                weights.get(component, 0.0) + self.work_delta.get(library, 0.0)
-            )
-        return max(sorted(weights), key=lambda name: weights[name])
-
     def component_crossings(self, n_requests):
         """Per-request crossings by component pair.
 
         Each gate span recorded during the block names the caller and
         callee micro-library, so crossings into a compartment hosting
-        several components land on the component actually entered.  When
-        no spans were captured (an untraced legacy recording), the
-        compartment-indexed transition counts are attributed to each
-        side's work-weighted dominant component.
+        several components land on the component actually entered.
+        Every gate transition opens such a span, and ``recording()``
+        always keeps them, so the spans are the complete crossing record.
         """
         self._check_requests(n_requests)
         crossings = {}
-        if self.gate_events:
-            for event in self.gate_events:
-                key = frozenset({
-                    self._component_of(event.args["src_library"]),
-                    self._component_of(event.args["library"]),
-                })
-                if len(key) == 1:
-                    continue
-                crossings[key] = crossings.get(key, 0) + 1.0 / n_requests
-            return crossings
-        for (src, dst), count in self.transition_delta.items():
-            key = frozenset({self._dominant_component(src),
-                             self._dominant_component(dst)})
+        for event in self.gate_events:
+            key = frozenset({
+                self._component_of(event.args["src_library"]),
+                self._component_of(event.args["library"]),
+            })
             if len(key) == 1:
                 continue
-            crossings[key] = crossings.get(key, 0) + count / n_requests
+            crossings[key] = crossings.get(key, 0) + 1.0 / n_requests
         return crossings
 
     def derive_profile(self, name, n_requests, **kwargs):

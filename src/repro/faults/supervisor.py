@@ -208,29 +208,34 @@ class DegradePolicy(Policy):
 class HardenPolicy(Policy):
     """Escalate a compartment to a stricter layout after N faults.
 
-    Harden-on-fault: each individual fault is handled by the ``inner``
-    policy (``degrade`` by default, so the application keeps serving);
-    the policy merely *counts* contained faults per compartment — first
-    attempts only, so one fault retried three times counts once — and
-    after ``after`` of them queues the compartment on ``self.pending``
-    and fires ``on_harden``.  Someone at gate_depth 0 (the
-    reconfiguration driver, or the autotuner this feeds next) then
-    migrates the instance one rung up the harden ladder
-    (:data:`repro.reconfig.harden.HARDEN_LADDER`); the supervisor never
-    migrates mid-unwind itself, because a migration cannot run inside
-    the very gate crossing that faulted.
+    The one harden-on-fault decider.  Each individual fault is handled
+    by the ``inner`` policy (``degrade`` by default, so the application
+    keeps serving); this policy merely *counts* contained faults per
+    compartment — first attempts only, so one fault retried three times
+    counts once — and after ``after`` of them queues the compartment on
+    ``self.pending``.  Whoever runs at gate_depth 0 (the reconfiguration
+    driver or the autotune loop) drains the queue with
+    :meth:`take_pending` and migrates the instance one rung up the
+    harden ladder (:func:`repro.reconfig.harden.harden_target`); the
+    supervisor never migrates mid-unwind itself, because a migration
+    cannot run inside the very gate crossing that faulted.
     """
 
     name = "harden"
 
-    def __init__(self, after=3, inner="degrade", on_harden=None):
+    def __init__(self, after=3, inner="degrade"):
         if after < 1:
             raise ConfigError("harden threshold must be >= 1")
         self.after = after
         self.inner = make_policy(inner) if isinstance(inner, str) else inner
-        self.on_harden = on_harden
         self.fault_counts = {}       # compartment index -> faults seen
         self.pending = []            # compartment indices due hardening
+
+    def take_pending(self):
+        """The queued compartment indices, sorted; empties the queue."""
+        pending = sorted(self.pending)
+        self.pending.clear()
+        return pending
 
     def decide(self, fault, attempt, supervisor, comp_index):
         if attempt == 0:
@@ -238,8 +243,6 @@ class HardenPolicy(Policy):
             self.fault_counts[comp_index] = count
             if count == self.after:
                 self.pending.append(comp_index)
-                if self.on_harden is not None:
-                    self.on_harden(comp_index)
         decision = self.inner.decide(fault, attempt, supervisor, comp_index)
         if self.fault_counts.get(comp_index, 0) >= self.after:
             decision.note = ("%s; harden pending" % decision.note

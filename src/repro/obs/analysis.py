@@ -29,16 +29,8 @@ clock, so it is free in virtual time like the rest of the layer.
 
 from __future__ import annotations
 
+from repro.bench.tables import format_table
 from repro.errors import ReproError
-
-
-def _format_table(rows, title=None):
-    # Deferred: repro.bench pulls in repro.obs at package-import time
-    # (ProfileRecorder rides on the tracer), so importing the table
-    # renderer at module scope would be circular.
-    from repro.bench.tables import format_table
-
-    return format_table(rows, title=title)
 
 
 def gate_spans(tracer):
@@ -190,7 +182,7 @@ class CriticalPath:
                  "(%d chains, %.0f total gate cycles)"
                  % (len(shown), len(self.entries), self.n_chains,
                     self.total_gate_cycles))
-        return _format_table(rows, title=title)
+        return format_table(rows, title=title)
 
     def __repr__(self):
         return "CriticalPath(%d pairs, %.0f cycles)" % (
@@ -281,7 +273,7 @@ class CrossingMatrix:
         title = ("crossing matrix: crossings / attributed cycles "
                  "(%d compartments, %d crossings)"
                  % (len(self.names), self.total_crossings()))
-        text = _format_table(rows, title=title)
+        text = format_table(rows, title=title)
         if omitted:
             hidden = sum(
                 count for (i, j), count in self.counts.items()
@@ -387,8 +379,8 @@ class TraceAnalysis:
             "\n".join(header),
             path.to_text(top_k),
             self.crossing_matrix().to_text(top_k),
-            _format_table(self._library_rows(top_k),
-                         title="top callee libraries (attributed cycles)"),
+            format_table(self._library_rows(top_k),
+                        title="top callee libraries (attributed cycles)"),
         ]
         return "\n\n".join(sections)
 

@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 
+from repro.bench.tables import format_table
 from repro.errors import ReproError
 
 #: Version of the ``BENCH_*.json`` trajectory-point layout.  Bump when
@@ -43,15 +44,6 @@ METADATA_KEYS = ("schema_version", "benchmark", "config", "config_digest")
 
 #: Name of the optional allowlist file next to the committed baselines.
 ALLOWLIST_FILE = "allowlist.json"
-
-
-def _format_table(rows, title=None):
-    # Deferred: repro.bench pulls in repro.obs at package-import time
-    # (ProfileRecorder rides on the tracer), so importing the table
-    # renderer at module scope would be circular.
-    from repro.bench.tables import format_table
-
-    return format_table(rows, title=title)
 
 
 def config_digest(config):
@@ -172,7 +164,7 @@ class SnapshotDiff:
         title = "%s: %d of %d metrics differ" % (
             self.benchmark, len(self.changed()), len(self.deltas),
         )
-        return _format_table([d.row() for d in shown], title=title)
+        return format_table([d.row() for d in shown], title=title)
 
     def __repr__(self):
         return "SnapshotDiff(%s, %d changed of %d)" % (
@@ -243,7 +235,7 @@ class SnapshotVerdict:
         lines = [self.summary_line()]
         flagged = self.regressions + self.allowed
         if flagged:
-            lines.append(_format_table([d.row() for d in flagged]))
+            lines.append(format_table([d.row() for d in flagged]))
         return "\n".join(lines)
 
 

@@ -9,7 +9,10 @@ that rolls back to the source layout on any mid-migration fault.
 
 See ``docs/reconfiguration.md`` for the state machine and the atomicity
 invariant, and :mod:`repro.reconfig.harden` for the harden-on-fault
-ladder the supervisor's HardenPolicy climbs.
+ladder.  The supervisor's :class:`~repro.faults.supervisor.HardenPolicy`
+is the one harden-on-fault decider: it queues faulting compartments,
+and the caller that drains the queue picks the next rung with
+:func:`harden_target` and owns the migration.
 """
 
 from repro.reconfig.engine import (
@@ -26,33 +29,17 @@ from repro.reconfig.plan import (
     ReconfigStep,
     ReconfigurationPlan,
 )
-from repro.reconfig.policy import (
-    RECONFIG_POLICIES,
-    HardenOnFaultPolicy,
-    PolicyState,
-    Proposal,
-    ReconfigurationPolicy,
-    get_reconfig_policy,
-    register_reconfig_policy,
-)
 
 __all__ = [
     "DEFAULT_DRAIN_TIMEOUT_CYCLES",
     "HARDEN_LADDER",
-    "HardenOnFaultPolicy",
     "MIGRATABLE_MECHANISMS",
     "MigrationReport",
     "PHASES",
-    "PolicyState",
-    "Proposal",
-    "RECONFIG_POLICIES",
     "ReconfigStep",
     "ReconfigurationEngine",
     "ReconfigurationPlan",
-    "ReconfigurationPolicy",
-    "get_reconfig_policy",
     "harden_target",
     "injection_points",
     "layout_fingerprint",
-    "register_reconfig_policy",
 ]

@@ -43,7 +43,7 @@ from repro.hw.costs import CostModel
 from repro.kernel.net.device import LinkedDevices
 from repro.kernel.sched import yield_
 from repro.reconfig.engine import ReconfigurationEngine
-from repro.reconfig.policy import HardenOnFaultPolicy, PolicyState
+from repro.reconfig.harden import harden_target
 
 #: Libraries the reconfig drivers isolate by default.
 DEFAULT_ISOLATE = ("lwip",)
@@ -236,7 +236,6 @@ def run_harden_probes(mechanism="intel-mpk", mpk_gate="light",
     instance.supervisor.set_default_policy(policy)
     injector, _secret = _prepare_injector(instance, config)
     engine = ReconfigurationEngine(instance)
-    reconfig_policy = HardenOnFaultPolicy(policy)
     comp_index = instance.image.compartment_of("lwip").index
     heap = instance.memmgr.heap_of(comp_index)
     faults_drawn = 0
@@ -253,12 +252,11 @@ def run_harden_probes(mechanism="intel-mpk", mpk_gate="light",
                 injector.disarm()
                 heap.fail_next(0)
             faults_drawn += 1
-            proposal = reconfig_policy.propose(
-                PolicyState(instance=instance, engine=engine))
-            if proposal is not None:
+            if policy.take_pending():
                 if tripped_after is None:
                     tripped_after = faults_drawn
-                if proposal.target is not None:
-                    reports.append(engine.migrate(proposal.target))
+                target = harden_target(instance.image.config)
+                if target is not None:
+                    reports.append(engine.migrate(target))
     return HardenRun(instance, engine, reports, faults_drawn,
                      tripped_after)

@@ -27,9 +27,9 @@ from repro.autotune import (
     signal_digest,
 )
 from repro.errors import ConfigError, ReproError
+from repro.faults.supervisor import make_policy
 from repro.reconfig.driver import reconfig_config
 from repro.reconfig.harden import HARDEN_LADDER
-from repro.reconfig.policy import HardenOnFaultPolicy, PolicyState
 
 WINDOW_CYCLES = 100_000.0
 SLO_TARGET = {"name": "p99", "threshold_cycles": 26_400.0,
@@ -125,50 +125,36 @@ def make_loop(signal, *, mechanism="intel-mpk", mpk_gate="full",
               harden=False, outcome="committed", **kwargs):
     engine = StubEngine(mechanism, mpk_gate, outcome=outcome)
     policy = AutotunePolicy(**kwargs.pop("policy_kwargs", {}))
-    harden_policy = None
-    supervisor = None
-    if harden:
-        supervisor = SimpleNamespace(pending=[])
-        harden_policy = HardenOnFaultPolicy(supervisor)
-    loop = AutotuneLoop(StubHub(signal), engine, policy,
+    harden_policy = make_policy("harden") if harden else None
+    return AutotuneLoop(StubHub(signal), engine, policy,
                         harden_policy=harden_policy, **kwargs)
-    loop.supervisor = supervisor
-    return loop
 
 
 # -- policy decisions --------------------------------------------------------
 class TestAutotunePolicy:
-    def test_registered(self):
-        from repro.reconfig.policy import RECONFIG_POLICIES
-
-        assert RECONFIG_POLICIES["autotune"] is AutotunePolicy
-
     def test_no_signal_without_traffic(self):
         policy = AutotunePolicy()
         engine = StubEngine()
-        state = PolicyState(instance=engine.instance,
-                            signal=make_signal([0.0], requests=0.0))
-        decision = policy.decide(state)
+        decision = policy.decide(engine.instance,
+                                 make_signal([0.0], requests=0.0), 0)
         assert decision.reason == "no-signal"
         assert decision.trigger is None
-        assert policy.propose(state) is None
+        assert decision.target is None
 
     def test_quiet_signal_no_trigger(self):
         policy = AutotunePolicy()
         engine = StubEngine()
-        state = PolicyState(instance=engine.instance,
-                            signal=make_signal([0.0, 0.1, 0.2]))
-        decision = policy.decide(state)
+        decision = policy.decide(engine.instance,
+                                 make_signal([0.0, 0.1, 0.2]), 0)
         assert decision.reason == "no-trigger"
         assert decision.ranking == []
 
     def test_burn_trigger_proposes_cheaper_rung(self):
         policy = AutotunePolicy()
         engine = StubEngine("intel-mpk", "full")
-        state = PolicyState(
-            instance=engine.instance,
-            signal=make_signal([3.0, 4.0, 5.0], mean_cycles=30_000.0))
-        decision = policy.decide(state)
+        decision = policy.decide(
+            engine.instance,
+            make_signal([3.0, 4.0, 5.0], mean_cycles=30_000.0), 0)
         assert decision.trigger["kind"] == "slo-burn"
         assert decision.current == "intel-mpk/full"
         assert len(decision.ranking) == len(HARDEN_LADDER)
@@ -180,26 +166,24 @@ class TestAutotunePolicy:
     def test_gate_share_trigger(self):
         policy = AutotunePolicy(gate_share_threshold=0.5)
         engine = StubEngine()
-        state = PolicyState(instance=engine.instance,
-                            signal=make_signal([0.0], gate_share=0.7))
-        decision = policy.decide(state)
+        decision = policy.decide(engine.instance,
+                                 make_signal([0.0], gate_share=0.7), 0)
         assert decision.trigger["kind"] == "gate-share"
 
     def test_hysteresis_blocks_marginal_wins(self):
         policy = AutotunePolicy(min_improvement=float("inf"))
         engine = StubEngine("intel-mpk", "full")
-        state = PolicyState(instance=engine.instance,
-                            signal=make_signal([5.0, 5.0]))
-        decision = policy.decide(state)
+        decision = policy.decide(engine.instance,
+                                 make_signal([5.0, 5.0]), 0)
         assert decision.reason in ("hysteresis", "already-best")
         assert decision.target is None
 
     def test_floor_filters_candidates(self):
-        policy = AutotunePolicy(floor=2)
+        policy = AutotunePolicy()
+        policy.floor = 2
         engine = StubEngine("intel-mpk", "full")
-        state = PolicyState(instance=engine.instance,
-                            signal=make_signal([5.0, 5.0]))
-        decision = policy.decide(state)
+        decision = policy.decide(engine.instance,
+                                 make_signal([5.0, 5.0]), 0)
         ranked = {row["layout"] for row in decision.ranking}
         assert ranked == {"intel-mpk/full", "vm-ept/full"}
 
@@ -208,8 +192,6 @@ class TestAutotunePolicy:
             AutotunePolicy(objective="latency")
         with pytest.raises(ConfigError):
             AutotunePolicy(recent_windows=0)
-        with pytest.raises(ConfigError):
-            AutotunePolicy(floor=len(HARDEN_LADDER))
 
     def test_ladder_layouts_cover_ladder(self):
         layouts = ladder_layouts()
@@ -315,10 +297,12 @@ class TestAutotuneLoop:
     def test_harden_outranks_autotune_and_raises_floor(self):
         loop = make_loop(make_signal([5.0] * 4), mechanism="none",
                          harden=True)
-        loop.supervisor.pending.append(1)
+        loop.harden_policy.pending.append(1)
         entry = loop.step(4)
         assert entry["reason"] == "hardened"
         assert entry["policy"] == "harden-on-fault"
+        assert entry["trigger"] == {"kind": "fault-pressure",
+                                    "compartments": [1]}
         assert entry["chosen"] == "intel-mpk/light"
         assert loop.policy.floor == 1
         assert loop.engine.instance.image.backend_name == "intel-mpk"
@@ -326,7 +310,7 @@ class TestAutotuneLoop:
     def test_harden_at_ladder_top_journals(self):
         loop = make_loop(make_signal([0.0]), mechanism="vm-ept",
                          harden=True)
-        loop.supervisor.pending.append(1)
+        loop.harden_policy.pending.append(1)
         entry = loop.step(4)
         assert entry["reason"] == "at-ladder-top"
         assert entry["migration"] is None
@@ -359,7 +343,7 @@ class TestLoopProperties:
         for step, window_burns in enumerate(burns):
             loop.hub.signal = make_signal(window_burns)
             if step < len(faults) and faults[step]:
-                loop.supervisor.pending.append(1)
+                loop.harden_policy.pending.append(1)
             loop.step(step * every)
         assert loop.journal.check()
         committed = [e["window"] for e in loop.journal.entries
@@ -389,8 +373,8 @@ class TestLoopProperties:
                              max_value=len(HARDEN_LADDER) - 1))
     def test_floor_is_respected(self, burns, floor):
         """No proposed target ever sits below the admissibility floor."""
-        loop = make_loop(make_signal(burns),
-                         policy_kwargs={"floor": floor})
+        loop = make_loop(make_signal(burns))
+        loop.policy.floor = floor
         entry = loop.step(4)
         if entry["reason"] == "migrated":
             position = [

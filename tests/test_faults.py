@@ -485,15 +485,8 @@ class TestHardenPolicyCounting:
         assert policy.pending == []
         policy.decide(fault, 0, supervisor, 1)   # second distinct fault
         assert policy.pending == [1]
-
-    def test_on_harden_callback_fires_once_per_trip(self):
-        tripped = []
-        policy = make_policy("harden", after=1,
-                             on_harden=tripped.append)
-        from repro.faults.supervisor import Supervisor
-
-        policy.decide(AllocationError("oom"), 0, Supervisor(), 4)
-        assert tripped == [4]
+        assert policy.take_pending() == [1]
+        assert policy.take_pending() == []
 
 
 class TestScorecardDeterminism:

@@ -285,6 +285,14 @@ class TestHardenOnFault:
         assert run.instance.image.backend_name == "intel-mpk"
         assert run.instance.image.config.mpk_gate == "full"
 
+    def test_probes_at_ladder_top_trip_but_stay(self):
+        run = run_harden_probes(mechanism="vm-ept", harden_after=2,
+                                n_faults=4)
+        assert run.tripped_after == 2
+        assert run.reports == []
+        assert not run.hardened
+        assert run.instance.image.backend_name == "vm-ept"
+
     def test_ladder_walk_terminates_at_ept(self):
         config = reconfig_config("none")
         seen = []

@@ -114,17 +114,6 @@ class TestProfileRecorder:
             with pytest.raises(ReproError):
                 recorder.derive_profile("x", n_requests)
 
-    def test_dominant_component_fallback_without_tracer(self):
-        """A legacy recording with no gate spans falls back to
-        work-weighted dominant components instead of min()."""
-        config = make_config(isolate=("lwip", "uksched"), n_extra=1)
-        recorder = record_redis(config)
-        recorder.gate_events = []  # simulate an untraced recording
-        pairs = recorder.communicating_pairs()
-        assert pairs  # still attributes something
-        for pair in pairs:
-            assert "app" in pair
-
 
 class TestDotOutput:
     def test_poset_dot_structure(self):
