@@ -97,23 +97,9 @@ def _bytebuffer_leg(enabled):
             buf.read_bytes(ctx, start, length)
 
     scalar_rate = _ops_per_sec(scalar, MICRO_OPS // 8)
-    scalar_cycles = ctx.clock.cycles
-    scalar_checks = ctx.mmu.checks
-
-    with tlb_mode(enabled):
-        ctx, region = _fresh_ctx()
-    buf = ByteBuffer("bench-buf", region, 0, 4096)
-    vec_rate = _ops_per_sec(lambda: buf.read_vec(ctx, spans),
-                            MICRO_OPS // 8)
-    return {
-        "scalar_batches_per_sec": scalar_rate,
-        "vec_batches_per_sec": vec_rate,
-        "vec_speedup": vec_rate / scalar_rate,
-    }, {
-        "scalar_cycles": scalar_cycles,
-        "scalar_checks": scalar_checks,
-        "vec_cycles": ctx.clock.cycles,
-        "vec_checks": ctx.mmu.checks,
+    return {"scalar_batches_per_sec": scalar_rate}, {
+        "scalar_cycles": ctx.clock.cycles,
+        "scalar_checks": ctx.mmu.checks,
     }
 
 
@@ -223,9 +209,6 @@ def test_datapath(benchmark):
             payload["wall_clock"]["gate_crossing"]["tlb_off_calls_per_sec"],
             payload["wall_clock"]["gate_crossing"]["tlb_on_calls_per_sec"],
             payload["wall_clock"]["gate_crossing"]["speedup"],
-        ),
-        "  bytebuffer vec: %.2fx over scalar batches" % (
-            payload["wall_clock"]["bytebuffer"]["tlb_on"]["vec_speedup"],
         ),
         "  redis hit rate: %.1f%% (%d hits / %d lookups)" % (
             100 * redis_tlb["hit_rate"], redis_tlb["hits"],

@@ -105,6 +105,14 @@ def schedule_offsets_cycles(schedule, seed, clock):
     return offsets
 
 
+def _arrival_offsets(rate_rps, n_requests, schedule, seed, clock):
+    """Open-loop arrival offsets: the schedule's phases when given,
+    else ``n_requests`` Poisson arrivals at ``rate_rps``."""
+    if schedule is not None:
+        return schedule_offsets_cycles(schedule, seed, clock)
+    return poisson_offsets_cycles(rate_rps, n_requests, seed, clock)
+
+
 def _percentile(sorted_values, p):
     """Nearest-rank percentile of an ascending list (p in [0, 100])."""
     if not sorted_values:
@@ -403,13 +411,8 @@ def _run_tcp_load(app, mechanism, *, rate_rps, n_requests, seed, cores,
                         socks[index], instance.ip, port,
                     )
                 window["first"] = clock.cycles
-                if schedule is not None:
-                    offsets = schedule_offsets_cycles(schedule, seed,
-                                                      clock)
-                else:
-                    offsets = poisson_offsets_cycles(
-                        rate_rps, n_requests, seed, clock,
-                    )
+                offsets = _arrival_offsets(rate_rps, n_requests, schedule,
+                                           seed, clock)
                 sched.create_thread("loadgen", loadgen(offsets))
                 for index in range(connections):
                     sched.create_thread("reap-%d" % index, reaper(index))
@@ -504,22 +507,7 @@ def _run_sqlite_load(mechanism, *, rate_rps, n_requests, seed, cores,
         def producer():
             start = clock.cycles
             window["first"] = start
-            if schedule is not None:
-                offsets = schedule_offsets_cycles(schedule, seed, clock)
-                for row, offset in enumerate(offsets):
-                    due = start + offset
-                    now = clock.cycles
-                    if due > now:
-                        yield sleep(clock.cycles_to_ns(due - now))
-                    queue.append((row, due))
-                    if spans is not None:
-                        spans.inject("sqlite", name="insert-%d" % row,
-                                     arrival_cycles=due)
-                    sched.wake(waitq)
-                state["done"] = True
-                sched.wake_all(waitq)
-                return n_requests
-            if rate_rps is None:
+            if rate_rps is None and schedule is None:
                 # Saturation: enqueue everything at once; the pool runs
                 # back to back and the queue depth is the backlog.
                 for row in range(n_requests):
@@ -530,9 +518,8 @@ def _run_sqlite_load(mechanism, *, rate_rps, n_requests, seed, cores,
                 state["done"] = True
                 sched.wake_all(waitq)
                 return n_requests
-            offsets = poisson_offsets_cycles(
-                rate_rps, n_requests, seed, clock,
-            )
+            offsets = _arrival_offsets(rate_rps, n_requests, schedule,
+                                       seed, clock)
             for row, offset in enumerate(offsets):
                 due = start + offset
                 now = clock.cycles

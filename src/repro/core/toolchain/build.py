@@ -1,10 +1,4 @@
-"""The build driver: configuration + sources -> Image.
-
-Includes a :class:`BuildCache`: the "quickly isolate exploitable
-libraries" use case rests on rebuilds being cheap ("it takes seconds to
-create a new binary"), and exploration sweeps rebuild aggressively, so
-images are memoised on the configuration's build-relevant fingerprint.
-"""
+"""The build driver: configuration + sources -> Image."""
 
 from __future__ import annotations
 
@@ -34,59 +28,13 @@ def _compartment_layout(config, sources):
     return compartments
 
 
-def config_fingerprint(config):
-    """A hashable key of everything the build output depends on."""
-    compartments = tuple(
-        (name, spec.mechanism, tuple(sorted(h.value for h in spec.hardening)),
-         spec.default, spec.allocator)
-        for name, spec in sorted(config.compartments.items())
-    )
-    return (
-        compartments,
-        tuple(sorted(config.assignment.items())),
-        config.sharing,
-        config.mpk_gate,
-    )
-
-
-class BuildCache:
-    """Memoises built images by configuration fingerprint."""
-
-    def __init__(self):
-        self._images = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, config):
-        image = self._images.get(config_fingerprint(config))
-        if image is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return image
-
-    def put(self, config, image):
-        self._images[config_fingerprint(config)] = image
-
-    def __len__(self):
-        return len(self._images)
-
-
-def build_image(config, sources=None, cache=None):
+def build_image(config, sources=None):
     """Build a FlexOS image for ``config``.
 
     Runs the whole toolchain: cross-library analysis, source
     transformation, transformation verification, linker-script
     generation.  Returns the static :class:`~repro.core.image.Image`.
-    Pass a :class:`BuildCache` to memoise repeat builds (exploration
-    sweeps, rapid-response rebuilds); caching only applies to builds of
-    the default kernel sources.
     """
-    cacheable = cache is not None and sources is None
-    if cacheable:
-        cached = cache.get(config)
-        if cached is not None:
-            return cached
     sources = sources or default_kernel_sources()
     backend = get_backend(config.mechanism)
 
@@ -99,7 +47,7 @@ def build_image(config, sources=None, cache=None):
 
     script, sections = generate_linker_script(config, compartments, backend)
 
-    image = Image(
+    return Image(
         config=config,
         compartments=compartments,
         sections=sections,
@@ -108,6 +56,3 @@ def build_image(config, sources=None, cache=None):
         transform_report=report,
         backend_name=config.mechanism,
     )
-    if cacheable:
-        cache.put(config, image)
-    return image

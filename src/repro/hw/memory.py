@@ -259,50 +259,6 @@ class ByteBuffer:
         lo = self.offset + start
         data[lo:lo + len(payload)] = payload
 
-    def read_vec(self, ctx, spans):
-        """Gather: read ``[(start, length), ...]`` with one check.
-
-        The batched equivalent of one :meth:`read_bytes` per span — same
-        bounds errors, same fault behaviour, and the same total cycle
-        charge (``memcpy_per_byte`` × total bytes) — but the whole batch
-        is validated by a single MMU check, since every span lives in the
-        same region under the same protection state.  Returns the list of
-        payloads in span order.
-        """
-        spans = list(spans)
-        for start, length in spans:
-            self._bounds(start, length)
-        ctx.mmu.check(ctx, self.region, AccessType.READ, symbol=self.symbol)
-        total = sum(length for _, length in spans)
-        if total == 0:
-            return [b"" for _ in spans]
-        ctx.clock.charge(ctx.costs.memcpy_per_byte * total)
-        data = self.region.backing()
-        base = self.offset
-        return [
-            bytes(data[base + start:base + start + length])
-            for start, length in spans
-        ]
-
-    def write_vec(self, ctx, spans):
-        """Scatter: write ``[(start, payload), ...]`` with one check.
-
-        Mirror of :meth:`read_vec`; returns total bytes written.
-        """
-        spans = [(start, payload) for start, payload in spans]
-        for start, payload in spans:
-            self._bounds(start, len(payload))
-        ctx.mmu.check(ctx, self.region, AccessType.WRITE, symbol=self.symbol)
-        total = sum(len(payload) for _, payload in spans)
-        if total == 0:
-            return 0
-        ctx.clock.charge(ctx.costs.memcpy_per_byte * total)
-        data = self.region.backing()
-        base = self.offset
-        for start, payload in spans:
-            data[base + start:base + start + len(payload)] = payload
-        return total
-
     def _bounds(self, start, length):
         if start < 0 or length < 0 or start + length > self.size:
             raise AllocationError(

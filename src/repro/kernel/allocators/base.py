@@ -87,9 +87,6 @@ class Allocator:
         self.region = region
         self.stats = AllocatorStats()
         self._live = {}  # offset -> Allocation
-        #: Optional callable(size) -> bool; True makes the allocation fail
-        #: (fault injection: modelled OOM without exhausting the region).
-        self.failure_hook = None
         self._fail_countdown = 0
         #: Injected failures served so far (campaign accounting).
         self.injected_failures = 0
@@ -108,13 +105,8 @@ class Allocator:
         self._fail_countdown = count
 
     def _maybe_inject_failure(self, size):
-        fail = False
         if self._fail_countdown > 0:
             self._fail_countdown -= 1
-            fail = True
-        elif self.failure_hook is not None and self.failure_hook(size):
-            fail = True
-        if fail:
             self.injected_failures += 1
             tracer = obs.ACTIVE
             if tracer.enabled:

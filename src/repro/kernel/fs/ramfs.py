@@ -102,32 +102,6 @@ class RamFs:
         return data
 
     @entrypoint("ramfs")
-    def read_spans(self, inode, offset, lengths):
-        """Batched sequential read: one driver crossing for the whole
-        span list (the scatter half of :meth:`Vfs.readv
-        <repro.kernel.fs.vfs.Vfs.readv>`).
-
-        Returns the chunk list; stops short at EOF like POSIX
-        ``readv``.  One fs op is charged for the batch — the point is
-        exactly that N spans no longer pay N vfscore→ramfs crossings.
-        """
-        self._charge("read")
-        if inode.is_dir:
-            raise FsError(errno.EISDIR, "read of a directory")
-        chunks = []
-        pos = offset
-        total = 0
-        for length in lengths:
-            data = bytes(inode.data[pos:pos + length])
-            chunks.append(data)
-            pos += len(data)
-            total += len(data)
-            if len(data) < length:
-                break
-        work(total * self.costs.memcpy_per_byte)
-        return chunks
-
-    @entrypoint("ramfs")
     def write(self, inode, offset, payload):
         self._charge("write")
         if inode.is_dir:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import errno
 
 from repro.errors import FsError
-from repro.hw.cpu import current_context
 from repro.kernel.lib import entrypoint, work
 from repro.obs import tracer as obs
 
@@ -133,61 +132,6 @@ class Vfs:
         written = self.driver.write(handle.inode, handle.pos, payload)
         handle.pos += written
         return written
-
-    @entrypoint("vfscore")
-    def readv(self, fd, buf, spans):
-        """Scatter-read into ``buf`` (a :class:`ByteBuffer`): one vfscore
-        op and one batched protection check for the whole span list.
-
-        ``spans`` is ``[(buf_start, length), ...]``; file bytes are read
-        sequentially from the descriptor position into the buffer spans,
-        like POSIX ``readv``.  Returns total bytes read (short on EOF).
-        """
-        self._charge("readv")
-        handle = self._handle(fd)
-        if not handle.readable:
-            raise FsError(errno.EBADF, "fd %d not open for reading" % fd)
-        reader = getattr(self.driver, "read_spans", None)
-        if reader is not None:
-            # Batched driver: one vfscore->ramfs crossing for the whole
-            # span list, then one scatter write into the buffer.
-            chunks = reader(handle.inode, handle.pos,
-                            [length for _, length in spans])
-            writes = []
-            for (start, _), data in zip(spans, chunks):
-                handle.pos += len(data)
-                writes.append((start, data))
-            return buf.write_vec(current_context(), writes)
-        writes = []
-        for start, length in spans:
-            data = self.driver.read(handle.inode, handle.pos, length)
-            handle.pos += len(data)
-            writes.append((start, data))
-            if len(data) < length:
-                break
-        return buf.write_vec(current_context(), writes)
-
-    @entrypoint("vfscore")
-    def writev(self, fd, buf, spans):
-        """Gather-write from ``buf``: the batched mirror of :meth:`readv`.
-
-        Buffer spans are fetched with a single protection check, then
-        written sequentially at the descriptor position.  Returns total
-        bytes written.
-        """
-        self._charge("writev")
-        handle = self._handle(fd)
-        if not handle.writable:
-            raise FsError(errno.EBADF, "fd %d not open for writing" % fd)
-        payloads = buf.read_vec(current_context(), spans)
-        if handle.flags & O_APPEND:
-            handle.pos = handle.inode.size
-        total = 0
-        for payload in payloads:
-            written = self.driver.write(handle.inode, handle.pos, payload)
-            handle.pos += written
-            total += written
-        return total
 
     @entrypoint("vfscore")
     def lseek(self, fd, offset, whence=SEEK_SET):

@@ -9,7 +9,6 @@ stack itself never calls into the scheduler.
 from __future__ import annotations
 
 from repro.errors import NetworkError
-from repro.hw.cpu import current_context
 
 
 class Socket:
@@ -64,37 +63,12 @@ class Socket:
             raise NetworkError("send on an unconnected socket")
         return self.stack.tcp_send(self.conn, payload)
 
-    def sendv(self, buf, spans):
-        """Gather-send from a :class:`~repro.hw.memory.ByteBuffer`.
-
-        ``spans`` is ``[(start, length), ...]`` into ``buf``; the spans
-        are fetched with a single batched protection check and handed to
-        the stack as a scatter list (the modelled ``writev`` on a
-        socket) — TCP segments across the span boundaries directly, so
-        the bytes are never joined into an intermediate contiguous
-        payload.  Returns bytes queued.
-        """
-        if self.conn is None:
-            raise NetworkError("send on an unconnected socket")
-        chunks = buf.read_vec(current_context(), spans)
-        return self.stack.tcp_sendv(self.conn, chunks)
-
     def try_recv(self, max_bytes):
         """Non-blocking recv: pumps the device, returns b'' when empty."""
         if self.conn is None:
             raise NetworkError("recv on an unconnected socket")
         self.stack.pump()
         return self.stack.tcp_recv(self.conn, max_bytes)
-
-    def recv_into(self, buf, start, max_bytes):
-        """Non-blocking recv straight into a buffer span.
-
-        One protection-checked copy instead of recv-then-write; returns
-        bytes landed (0 when the receive queue is empty).
-        """
-        data = self.try_recv(max_bytes)
-        buf.write_bytes(current_context(), data, start)
-        return len(data)
 
     @property
     def readable(self):

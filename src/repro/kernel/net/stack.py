@@ -227,11 +227,6 @@ class NetworkStack:
         return conn.send(payload)
 
     @entrypoint("lwip")
-    def tcp_sendv(self, conn, chunks):
-        """Gather-send a chunk list in one stack crossing (``writev``)."""
-        return conn.send_segments(chunks)
-
-    @entrypoint("lwip")
     def tcp_recv(self, conn, max_bytes):
         """Non-blocking read from the connection's receive buffer."""
         work(self.costs.function_call)

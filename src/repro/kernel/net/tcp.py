@@ -116,46 +116,18 @@ class TcpConnection:
 
         Respects the peer's advertised window: bytes beyond it wait in a
         send backlog that drains as acknowledgements open the window.
-        """
-        return self.send_segments((payload,))
-
-    def send_segments(self, chunks):
-        """Gather-send ``chunks`` as one byte stream (the ``writev``
-        half of the socket datapath).
-
-        Segments at the MSS *across* chunk boundaries without first
-        concatenating the chunks into one contiguous payload — the
-        scatter list coming out of :meth:`ByteBuffer.read_vec
-        <repro.hw.memory.ByteBuffer.read_vec>` feeds straight into the
-        segmenter, so a vectored send copies each byte once (into its
-        segment), not twice (join, then segment).
+        The payload is copied first, so a caller that later mutates its
+        buffer never changes bytes already queued.
         """
         if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
             raise NetworkError(
                 "send in state %s" % self.state.value
             )
-        total = 0
-        pieces = []       # partial segment under construction
-        filled = 0        # bytes in ``pieces``
-        for chunk in chunks:
-            view = memoryview(chunk)
-            total += len(view)
-            while len(view) >= MSS - filled:
-                take = MSS - filled
-                pieces.append(bytes(view[:take]))
-                view = view[take:]
-                self._send_backlog.append(
-                    pieces[0] if len(pieces) == 1 else b"".join(pieces))
-                pieces = []
-                filled = 0
-            if len(view):
-                pieces.append(bytes(view))
-                filled += len(view)
-        if pieces:
-            self._send_backlog.append(
-                pieces[0] if len(pieces) == 1 else b"".join(pieces))
+        payload = bytes(payload)
+        for lo in range(0, len(payload), MSS):
+            self._send_backlog.append(payload[lo:lo + MSS])
         self._flush_backlog()
-        return total
+        return len(payload)
 
     def _bytes_in_flight(self):
         return self.snd_nxt - self.snd_una

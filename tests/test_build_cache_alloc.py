@@ -1,54 +1,13 @@
-"""Build cache and per-compartment allocator tests."""
+"""Per-compartment allocator tests."""
 
 import pytest
 
 from repro.core.config import CompartmentSpec, SafetyConfig
 from repro.core.hardening import Hardening
-from repro.core.toolchain.build import BuildCache, build_image, config_fingerprint
+from repro.core.toolchain.build import build_image
 from repro.core.vm import FlexOSInstance, Machine
 from repro.errors import ConfigError
 from repro.kernel.allocators import LeaAllocator, TlsfAllocator
-from tests.conftest import make_config
-
-
-class TestBuildCache:
-    def test_identical_config_hits(self):
-        cache = BuildCache()
-        first = build_image(make_config(), cache=cache)
-        second = build_image(make_config(), cache=cache)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_different_hardening_misses(self):
-        cache = BuildCache()
-        build_image(make_config(), cache=cache)
-        build_image(make_config(hardening=("asan",)), cache=cache)
-        assert cache.misses == 2
-        assert len(cache) == 2
-
-    def test_different_sharing_misses(self):
-        cache = BuildCache()
-        build_image(make_config(sharing="dss"), cache=cache)
-        build_image(make_config(sharing="heap"), cache=cache)
-        assert cache.misses == 2
-
-    def test_custom_sources_bypass_cache(self):
-        from repro.core.toolchain.sources import default_kernel_sources
-
-        cache = BuildCache()
-        build_image(make_config(), sources=default_kernel_sources(),
-                    cache=cache)
-        assert len(cache) == 0  # never cached
-
-    def test_fingerprint_is_hashable_and_stable(self):
-        a = config_fingerprint(make_config(hardening=("asan", "cfi")))
-        b = config_fingerprint(make_config(hardening=("cfi", "asan")))
-        assert a == b
-        hash(a)
-
-    def test_no_cache_still_works(self):
-        image = build_image(make_config())
-        assert image.n_compartments == 2
 
 
 class TestPerCompartmentAllocators:

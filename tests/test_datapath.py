@@ -1,9 +1,9 @@
-"""Batched datapath tests: vec buffer ops, vfs readv/writev, socket sendv.
+"""Zero-length buffer operations: free, but still checked.
 
-The batching contract: a vec operation is observationally equivalent to
-its scalar expansion — same bytes, same bounds errors, same faults, same
-total virtual-cycle charge — except that the whole batch costs a single
-MMU check instead of one per span.
+An empty ``read_bytes``/``write_bytes`` charges no cycles and never
+materializes the region's backing store, yet it still pays its MMU
+check: it faults on a buffer the context may not touch and is rejected
+when it starts out of bounds.
 """
 
 import pytest
@@ -11,12 +11,10 @@ import pytest
 from repro.errors import AllocationError, ProtectionFault
 from repro.hw.clock import Clock
 from repro.hw.costs import CostModel
-from repro.hw.cpu import ExecutionContext, use_context
+from repro.hw.cpu import ExecutionContext
 from repro.hw.memory import ByteBuffer, PhysicalMemory
 from repro.hw.mmu import MMU
 from repro.hw.mpk import PKRU
-from repro.kernel.fs import O_CREAT, O_RDWR, RamFs, Vfs
-from repro.kernel.net import LinkedDevices, NetworkStack, Socket
 
 
 @pytest.fixture
@@ -59,167 +57,3 @@ class TestZeroLengthOps:
         ctx, buf = world
         with pytest.raises(AllocationError):
             buf.read_bytes(ctx, 5000, 0)
-
-
-class TestVecOps:
-    SPANS = [(0, 64), (256, 128), (1024, 0), (4000, 96)]
-
-    def test_write_read_roundtrip(self, world):
-        ctx, buf = world
-        payloads = [bytes([i + 1]) * length for i, (_, length)
-                    in enumerate(self.SPANS)]
-        written = buf.write_vec(
-            ctx, [(start, payload) for (start, _), payload
-                  in zip(self.SPANS, payloads)],
-        )
-        assert written == sum(len(p) for p in payloads)
-        assert buf.read_vec(ctx, self.SPANS) == payloads
-
-    def test_vec_equals_scalar_cycles_and_bytes(self, world):
-        ctx, buf = world
-        buf.write_bytes(ctx, bytes(range(200)), 0)
-        start_cycles = ctx.clock.cycles
-        scalar = [buf.read_bytes(ctx, s, n) for s, n in self.SPANS]
-        scalar_cycles = ctx.clock.cycles - start_cycles
-        start_cycles = ctx.clock.cycles
-        vec = buf.read_vec(ctx, self.SPANS)
-        vec_cycles = ctx.clock.cycles - start_cycles
-        assert vec == scalar
-        assert vec_cycles == scalar_cycles
-
-    def test_vec_single_check(self, world):
-        ctx, buf = world
-        before = ctx.mmu.checks
-        buf.read_vec(ctx, self.SPANS)
-        assert ctx.mmu.checks == before + 1
-        before = ctx.mmu.checks
-        buf.write_vec(ctx, [(0, b"x"), (100, b"y")])
-        assert ctx.mmu.checks == before + 1
-
-    def test_vec_bounds_checked_before_any_copy(self, world):
-        ctx, buf = world
-        buf.write_bytes(ctx, b"sentinel", 0)
-        cycles = ctx.clock.cycles
-        with pytest.raises(AllocationError):
-            buf.write_vec(ctx, [(0, b"clobber"), (4090, b"overflow!")])
-        # Nothing charged, nothing written: the batch failed atomically.
-        assert ctx.clock.cycles == cycles
-        assert buf.read_bytes(ctx, 0, 8) == b"sentinel"
-
-    def test_vec_faults_without_charging(self, world):
-        ctx, buf = world
-        forbidden = ctx.mmu.memory.add_region(".data.other", 4096, pkey=2,
-                                              compartment=2)
-        other = ByteBuffer("other", forbidden, 0, 4096)
-        with pytest.raises(ProtectionFault):
-            other.read_vec(ctx, [(0, 64)])
-        assert ctx.clock.cycles == 0
-
-    def test_empty_vec_free(self, world):
-        ctx, buf = world
-        assert buf.read_vec(ctx, []) == []
-        assert buf.write_vec(ctx, []) == 0
-        assert ctx.clock.cycles == 0
-        assert ctx.mmu.checks == 2
-
-
-class TestVfsVectored:
-    @pytest.fixture
-    def vfs(self):
-        costs = CostModel.xeon_4114()
-        return Vfs(RamFs(costs), costs)
-
-    def test_writev_readv_roundtrip(self, world, vfs):
-        ctx, buf = world
-        buf.write_bytes(ctx, b"AAAA", 0)
-        buf.write_bytes(ctx, b"BBBBBBBB", 64)
-        with use_context(ctx):
-            fd = vfs.open("/blob", O_RDWR | O_CREAT)
-            written = vfs.writev(fd, buf, [(0, 4), (64, 8)])
-            assert written == 12
-            vfs.lseek(fd, 0)
-            got = vfs.readv(fd, buf, [(128, 6), (256, 6)])
-            assert got == 12
-        assert buf.read_bytes(ctx, 128, 6) == b"AAAABB"
-        assert buf.read_bytes(ctx, 256, 6) == b"BBBBBB"
-
-    def test_readv_short_at_eof(self, world, vfs):
-        ctx, buf = world
-        buf.write_bytes(ctx, b"tiny", 0)
-        with use_context(ctx):
-            fd = vfs.open("/small", O_RDWR | O_CREAT)
-            assert vfs.writev(fd, buf, [(0, 4)]) == 4
-            vfs.lseek(fd, 0)
-            # Ask for more than the file holds across two spans.
-            assert vfs.readv(fd, buf, [(100, 3), (200, 10)]) == 4
-        assert buf.read_bytes(ctx, 100, 3) == b"tin"
-        assert buf.read_bytes(ctx, 200, 1) == b"y"
-
-    def test_vectored_ops_batch_the_checks(self, world, vfs):
-        ctx, buf = world
-        buf.write_bytes(ctx, bytes(64), 0)
-        with use_context(ctx):
-            fd = vfs.open("/counted", O_RDWR | O_CREAT)
-            before = ctx.mmu.checks
-            vfs.writev(fd, buf, [(0, 16), (16, 16), (32, 16), (48, 16)])
-            assert ctx.mmu.checks == before + 1
-
-
-class TestSocketVectored:
-    @pytest.fixture
-    def pair(self):
-        costs = CostModel.xeon_4114()
-        clock = Clock()
-        link = LinkedDevices(costs)
-        server = NetworkStack(link.a, "10.0.0.2", costs, clock)
-        client = NetworkStack(link.b, "10.0.0.1", costs, clock)
-        return server, client
-
-    @staticmethod
-    def _settle(*stacks, rounds=10):
-        for _ in range(rounds):
-            for stack in stacks:
-                stack.pump()
-
-    def _connect(self, server, client):
-        listening = Socket(server).bind(8080).listen()
-        connecting = Socket(client).connect_start("10.0.0.2", 8080)
-        self._settle(server, client)
-        client.pump()
-        accepted = listening.try_accept()
-        assert accepted is not None
-        return connecting, accepted
-
-    def test_sendv_recv_into_roundtrip(self, world, pair):
-        ctx, buf = world
-        server, client = pair
-        connecting, accepted = self._connect(server, client)
-        buf.write_bytes(ctx, b"GET ", 0)
-        buf.write_bytes(ctx, b"/key\r\n", 512)
-        with use_context(ctx):
-            sent = connecting.sendv(buf, [(0, 4), (512, 6)])
-            assert sent == 10
-            self._settle(server, client)
-            before = ctx.mmu.checks
-            landed = accepted.recv_into(buf, 1024, 64)
-            assert landed == 10
-            assert ctx.mmu.checks == before + 1
-        assert buf.read_bytes(ctx, 1024, 10) == b"GET /key\r\n"
-
-    def test_sendv_single_check_per_batch(self, world, pair):
-        ctx, buf = world
-        server, client = pair
-        connecting, _ = self._connect(server, client)
-        buf.write_bytes(ctx, bytes(128), 0)
-        with use_context(ctx):
-            before = ctx.mmu.checks
-            connecting.sendv(buf, [(0, 32), (32, 32), (64, 32), (96, 32)])
-            assert ctx.mmu.checks == before + 1
-
-    def test_sendv_unconnected_rejected(self, world, pair):
-        from repro.errors import NetworkError
-
-        ctx, buf = world
-        server, _ = pair
-        with use_context(ctx), pytest.raises(NetworkError):
-            Socket(server).sendv(buf, [(0, 4)])

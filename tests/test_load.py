@@ -98,6 +98,20 @@ class TestOtherApps:
             run_load("memcached", "none")
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("app", ["sqlite", "redis"])
+    def test_one_phase_schedule_is_the_rate(self, app):
+        # One phase is one Poisson process: the same arrivals, so the
+        # same latencies, as the single-rate run.
+        common = dict(seed=2, cores=2, connections=2)
+        by_rate = run_load(app, "intel-mpk", rate_rps=RATE, n_requests=24,
+                           **common)
+        by_schedule = run_load(app, "intel-mpk", schedule=[(RATE, 24)],
+                               **common)
+        assert by_schedule.mode == by_rate.mode == "open"
+        assert by_schedule.latencies_cycles == by_rate.latencies_cycles
+
+
 class TestSaturation:
     def test_closed_loop_probe(self):
         result = run_load("redis", "none", rate_rps=None,

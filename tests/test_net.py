@@ -148,21 +148,39 @@ class TestDataTransfer:
         settle(server, client)
         assert client.tcp_recv(conn, 10) == b"pong"
 
-    def test_segmentation_at_mss(self, pair):
-        accepted, conn, server, client = self._established(pair)
-        payload = bytes(range(256)) * 20  # 5120 B > 3 segments
-        before = conn.segments_out
-        client.tcp_send(conn, payload)
-        assert conn.segments_out - before == 4  # ceil(5120/1460)
-        settle(server, client)
+    @staticmethod
+    def _receive(accepted, server, client, n_bytes, rounds=200):
+        """Read ``n_bytes`` off ``accepted``, pumping both stacks."""
         received = b""
-        while len(received) < len(payload):
+        for _ in range(rounds):
+            if len(received) >= n_bytes:
+                break
             chunk = server.tcp_recv(accepted, 4096)
             if not chunk:
                 settle(server, client)
-                continue
             received += chunk
-        assert received == payload
+        return received
+
+    @pytest.mark.parametrize("length", [1, MSS, 2 * MSS, 3 * MSS + 1, 5120])
+    def test_segmentation_at_mss(self, pair, length):
+        accepted, conn, server, client = self._established(pair)
+        payload = (bytes(range(256)) * 21)[:length]  # up to 5376 B
+        before = conn.segments_out
+        assert client.tcp_send(conn, payload) == length
+        assert conn.segments_out - before == -(-length // MSS)  # ceil
+        assert self._receive(accepted, server, client, length) == payload
+
+    def test_caller_buffer_never_aliased(self, pair):
+        accepted, conn, server, client = self._established(pair)
+        # Larger than the peer's window, so the tail waits in the send
+        # backlog while the caller scribbles over its buffer.
+        original = bytes(i % 251 for i in range(70_000))
+        buf = bytearray(original)
+        client.tcp_send(conn, buf)
+        assert conn.backlog_bytes > 0
+        buf[:] = b"X" * len(buf)
+        assert self._receive(accepted, server, client,
+                             len(original)) == original
 
     def test_partial_reads_preserve_order(self, pair):
         accepted, conn, server, client = self._established(pair)
