@@ -71,13 +71,3 @@ def format_scorecard(results, title="fault containment scorecard"):
         "data stayed untouched and the instance kept serving afterwards.",
     ]
     return "\n".join(lines)
-
-
-def scorecard_text(seed=1, n_faults=40, policy="propagate",
-                   with_records=False):
-    """One-call scorecard: run + render; the benchmark entry point."""
-    results = run_scorecard(seed=seed, n_faults=n_faults, policy=policy)
-    text = format_scorecard(results)
-    if with_records:
-        text += "\n\n" + "\n\n".join(r.to_text() for r in results)
-    return text

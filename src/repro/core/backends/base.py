@@ -33,7 +33,8 @@ class IsolationBackend:
 
     1. gates            -> :meth:`build_gates`
     2. core-lib hooks   -> :meth:`install_hooks`
-    3. linker scripts   -> :meth:`linker_rules`
+    3. linker scripts   -> the section regions :meth:`setup_domains`
+                           creates
     4. transformations  -> :meth:`transform_rules`
     5. registration     -> :func:`register_backend`
 
@@ -68,11 +69,6 @@ class IsolationBackend:
     def on_stack_created(self, instance, compartment, stack_region,
                          dss_region):
         """Called for every thread stack (and DSS, when present)."""
-
-    def linker_rules(self, config):
-        """Section templates, e.g. [".data.%(comp)s", ...]."""
-        return [".text.%(comp)s", ".rodata.%(comp)s", ".data.%(comp)s",
-                ".bss.%(comp)s"]
 
     def transform_rules(self):
         """Names of the Coccinelle-style recipes this backend installs."""

@@ -94,16 +94,6 @@ class EptBackend(IsolationBackend):
             )
         return gates
 
-    def install_hooks(self, instance):
-        """Each VM's RPC server keeps a pool of worker threads; modelled
-        as a per-compartment service counter the gates maintain."""
-
-    def linker_rules(self, config):
-        # One image per compartment: sections are per-VM, and the TCB is
-        # duplicated into each.
-        return [".text.%(comp)s", ".rodata.%(comp)s", ".data.%(comp)s",
-                ".bss.%(comp)s", ".tcb.%(comp)s"]
-
     def transform_rules(self):
         return (
             "gate-to-ept-rpc",

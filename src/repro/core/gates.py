@@ -64,7 +64,6 @@ class Gate:
         self.src = src
         self.dst = dst
         self.costs = costs
-        self.crossings = 0
 
     # -- hooks subclasses implement -----------------------------------------
     def _enter(self, ctx):
@@ -137,7 +136,6 @@ class Gate:
         space/stack restored, and leaves ``ctx.compartment`` untouched —
         the hardware pops the domain no matter how the call ends.
         """
-        self.crossings += 1
         ctx.record_transition(self.src.index, self.dst.index)
         tracer = obs.ACTIVE
         span = tracer.gate_begin(self, ctx, library) if tracer.enabled \
@@ -291,7 +289,6 @@ class EptRpcGate(Gate):
         super().__init__(src, dst, costs)
         self.window = window
         self.legal_entries = legal_entries
-        self.serviced = 0
         #: Function objects already validated against ``legal_entries``.
         #: Entry-point legality is a property of the function, not the
         #: call, so repeated RPCs to the same entry skip re-validation
@@ -313,7 +310,6 @@ class EptRpcGate(Gate):
                 raise EntryPointViolation(name, self.dst.name)
             self._entry_cache.add(func)
         self._check_arguments(name, args, kwargs)
-        self.serviced += 1
         return super().call(ctx, library, func, args, kwargs)
 
     def _check_arguments(self, name, args, kwargs):

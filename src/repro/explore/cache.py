@@ -78,8 +78,8 @@ class EvaluationCache:
 
     Attributes:
         hits / misses / stores: counters for this instance's lifetime
-            (reset with :meth:`reset_stats`; the engine reports per-run
-            numbers through :class:`~repro.explore.explorer.ExplorationResult`).
+            (the engine reports per-run numbers through
+            :class:`~repro.explore.explorer.ExplorationResult`).
     """
 
     def __init__(self, directory=DEFAULT_CACHE_DIR):
@@ -148,9 +148,6 @@ class EvaluationCache:
             return 0
         return sum(1 for name in os.listdir(self.directory)
                    if name.endswith(".json"))
-
-    def reset_stats(self):
-        self.hits = self.misses = self.stores = 0
 
     def stats(self):
         return {"hits": self.hits, "misses": self.misses,

@@ -39,7 +39,6 @@ from repro.faults.injector import (
     CROSS_COMPARTMENT_KINDS,
     FaultInjector,
     FaultPlan,
-    FaultSpec,
 )
 from repro.kernel.lib import entrypoint, work
 from repro.kernel.net.device import LinkedDevices
@@ -457,8 +456,3 @@ def run_campaign(config):
             result.add(record)
     result.supervision = instance.supervisor.events_sorted()
     return result
-
-
-def make_periodic_spec(kind, dst):
-    """Convenience for application-level tests: one periodic FaultSpec."""
-    return FaultSpec(kind, dst=dst)

@@ -226,9 +226,6 @@ class FaultInjector:
             raise ConfigError("migration checkpoint index must be >= 0")
         self._migration = [int(fire_at), 0]
 
-    def disarm_migration(self):
-        self._migration = None
-
     def on_migration_point(self, phase, step=None):
         """Checkpoint hook called by the reconfiguration engine."""
         self.migration_points.append((phase, step))

@@ -144,6 +144,3 @@ class PkeyAllocator:
 
     def owner_of(self, key):
         return self._owners.get(key)
-
-    def owners(self):
-        return dict(self._owners)

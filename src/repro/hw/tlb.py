@@ -121,14 +121,6 @@ class PermissionTLB:
                 tracer.tlb_op("flush")
         entries[key] = tag
 
-    def flush(self):
-        """Drop every cached verdict (explicit, counted)."""
-        self.entries.clear()
-        self.flushes += 1
-        tracer = obs.ACTIVE
-        if tracer.enabled:
-            tracer.tlb_op("flush")
-
     @property
     def lookups(self):
         return self.hits + self.misses

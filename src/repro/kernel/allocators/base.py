@@ -150,12 +150,6 @@ class Allocator:
         if tracer.enabled:
             tracer.alloc_op("free", self.region.name, allocation.size)
 
-    def calloc(self, size):
-        """malloc + zeroing charge."""
-        allocation = self.malloc(size)
-        work(size * 0.0625)  # memset at ~16 B/cycle
-        return allocation
-
     @property
     def live_allocations(self):
         return len(self._live)

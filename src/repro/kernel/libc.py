@@ -48,11 +48,6 @@ class Libc:
         return bytes(data)
 
     @entrypoint("newlib")
-    def strlen(self, data):
-        work(len(data) * self.costs.memcpy_per_byte / 2.0)
-        return len(data)
-
-    @entrypoint("newlib")
     def snprintf(self, fmt, *args):
         work(len(fmt) * 0.5 + 40)
         return fmt % args if args else fmt

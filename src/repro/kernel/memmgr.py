@@ -117,11 +117,6 @@ class MemoryManager:
         """Allocate from a compartment's private heap."""
         return self.heap_of(compartment).malloc(size)
 
-    @entrypoint("ukalloc")
-    def malloc_shared(self, size):
-        """Allocate from the shared communications heap."""
-        return self.shared_heap.malloc(size)
-
     # -- stacks -----------------------------------------------------------------
     def create_stack(self, thread_name, compartment, pkey=DEFAULT_PKEY,
                      with_dss=False, dss_pkey=None):

@@ -46,7 +46,7 @@ class TelemetryHub:
     def __init__(self, window_cycles=DEFAULT_WINDOW_CYCLES,
                  ring=DEFAULT_RING, slo_targets=(),
                  slow_threshold_cycles=None, sampler_capacity=16,
-                 clock=None, slo_window_cycles=None):
+                 clock=None):
         self.clock = clock
         self.timeseries = WindowedTelemetry(
             clock=clock, window_cycles=window_cycles, ring=ring,
@@ -54,12 +54,9 @@ class TelemetryHub:
         self.metrics = MetricsRegistry(timeseries=self.timeseries)
         self.spans = SpanTracker(clock=clock)
         self.spans.on_complete = self._on_span_complete
-        # SLO windows may be wider or narrower than telemetry windows
-        # (and need not divide evenly): evaluator_input() maps between
-        # the two by cycle range, not by index arithmetic.
-        self.slos = [SloEvaluator(target,
-                                  window_cycles=(slo_window_cycles
-                                                 or window_cycles))
+        # SLO windows are the telemetry windows: evaluator_input() reads
+        # each evaluator's burn by the hub's window index.
+        self.slos = [SloEvaluator(target, window_cycles=window_cycles)
                      for target in slo_targets]
         if slow_threshold_cycles is None and self.slos:
             # Default the exemplar threshold to the tightest SLO: the
@@ -152,10 +149,7 @@ class TelemetryHub:
                 "latency_mean_cycles": (stats[1] / stats[0]
                                         if stats else 0.0),
                 "burn": {
-                    evaluator.target.name: evaluator.burn_over(
-                        window.index * self.timeseries.window_cycles,
-                        (window.index + 1) * self.timeseries.window_cycles,
-                    )
+                    evaluator.target.name: evaluator.burn_rate(window.index)
                     for evaluator in self.slos
                 },
             }

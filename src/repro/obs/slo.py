@@ -95,33 +95,6 @@ class SloEvaluator:
         good, bad = self._windows.get(index, (0, 0))
         return self._burn(good, bad, self.target.error_budget)
 
-    def burn_over(self, start_cycles, end_cycles):
-        """Budget-burn rate over the cycle range ``[start, end)``.
-
-        Each SLO window's counts are weighted by the fraction of the
-        window the range covers, so callers windowing on a different
-        width (the telemetry hub's, say) get a well-defined burn even
-        when the two widths are not multiples of each other.  When the
-        range is exactly one SLO window this equals :meth:`burn_rate`.
-        """
-        if end_cycles <= start_cycles:
-            return 0.0
-        first = int(start_cycles // self.window_cycles)
-        last = int(end_cycles // self.window_cycles)
-        good = bad = 0.0
-        for index in range(first, last + 1):
-            counts = self._windows.get(index)
-            if counts is None:
-                continue
-            lo = max(start_cycles, index * self.window_cycles)
-            hi = min(end_cycles, (index + 1) * self.window_cycles)
-            if hi <= lo:
-                continue
-            weight = (hi - lo) / self.window_cycles
-            good += counts[0] * weight
-            bad += counts[1] * weight
-        return self._burn(good, bad, self.target.error_budget)
-
     @property
     def overall_burn(self):
         return self._burn(self.good, self.bad, self.target.error_budget)

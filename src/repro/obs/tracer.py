@@ -15,9 +15,9 @@ Two invariants keep observation from perturbing the system:
   no virtual-time measurement, which ``tests/test_obs.py`` asserts down
   to the cycle.
 * **Disabled means one attribute check.**  Hook sites consult the
-  module-level :data:`ACTIVE` singleton and test ``.enabled`` once; with
-  the default :class:`NullTracer` installed that is the entire cost of
-  instrumentation.
+  module-level :data:`ACTIVE` singleton and test ``.enabled`` before
+  calling any hook; the default :class:`NullTracer` has no hooks, so
+  that test is the entire cost of instrumentation.
 
 Install a tracer with :func:`install_tracer` / :func:`uninstall_tracer`,
 or scoped with the :func:`tracing` context manager (which nests: the
@@ -80,80 +80,18 @@ class TraceEvent:
 
 
 class NullTracer:
-    """The disabled tracer: every hook is a no-op.
+    """The disabled tracer: it has no hooks at all.
 
-    Hook sites check :attr:`enabled` once and skip the call entirely, so
-    the only cost of the instrumentation with tracing off is that single
-    attribute test — and, by the never-touch-the-clock invariant, zero
-    virtual cycles either way.
+    Every hook site tests :attr:`enabled` first and skips the call when
+    it is false, so this class needs only the read-side attributes.  The
+    cost of the instrumentation with tracing off is that one attribute
+    test, and, by the never-touch-the-clock invariant, zero virtual
+    cycles either way.
     """
 
     enabled = False
     events = ()
     metrics = None
-
-    def gate_begin(self, gate, ctx, library):
-        return None
-
-    def gate_end(self, token, ctx, status="ok", overhead=0.0):
-        pass
-
-    def entry_begin(self, library, ctx):
-        return None
-
-    def entry_end(self, token, ctx):
-        pass
-
-    def thread_wake(self, thread):
-        pass
-
-    def pkru_write(self, op, key):
-        pass
-
-    def fault(self, fault_type, **args):
-        pass
-
-    def supervision(self, compartment, action, fault_type, attempt, **args):
-        pass
-
-    def alloc_op(self, op, region, size, fast=None):
-        pass
-
-    def context_switch(self, previous, current):
-        pass
-
-    def tcp_segment(self, direction, flags, nbytes, port=None):
-        pass
-
-    def space_switch(self, previous, current, direction):
-        pass
-
-    def window_alloc(self, space, nbytes, offset, wrapped):
-        pass
-
-    def irq(self, line, handlers):
-        pass
-
-    def fs_op(self, layer, op):
-        pass
-
-    def explore_wave(self, index, scheduled, evaluated, cache_hits, pruned):
-        pass
-
-    def tlb_op(self, op):
-        pass
-
-    def core_dispatch(self, core, depth, thread=None):
-        pass
-
-    def reconfig(self, action, **args):
-        pass
-
-    def reconfig_blackout(self, cycles, queued):
-        pass
-
-    def instant(self, name, cat, **args):
-        pass
 
     def __repr__(self):
         return "NullTracer()"

@@ -7,8 +7,8 @@ Two drivers sit on top of the engine:
   dedicated reconfiguration thread once enough requests completed —
   optionally with a fault armed at a chosen migration checkpoint.  The
   client records every reply byte-for-byte so a run can be compared
-  against a never-migrated reference (:func:`reference_replies`): the
-  atomicity invariant's functional half.
+  against a never-migrated reference (the same call with no
+  ``targets``): the atomicity invariant's functional half.
 
 * :func:`run_harden_probes` exercises harden-on-fault without the
   scheduler: campaign probes draw contained faults into an isolated
@@ -191,12 +191,6 @@ def run_reconfig_redis(source, targets, n_requests=40, migrate_after=10,
         )
     return ReconfigRun(instance, engine, list(engine.reports), replies,
                        server.commands, elapsed, tracer)
-
-
-def reference_replies(config, n_requests=40):
-    """The replies of a never-migrated instance under the same load."""
-    return run_reconfig_redis(config, targets=(),
-                              n_requests=n_requests).replies
 
 
 class HardenRun:

@@ -320,7 +320,8 @@ class ReconfigurationEngine:
             # gate-swap steps are applied in one batch below: gates are
             # consistent only as a full set, never edge by edge.
             steps_applied += 1
-            tracer.reconfig("step", kind=step.kind, target=step.target)
+            if tracer.enabled:
+                tracer.reconfig("step", kind=step.kind, target=step.target)
 
         self._checkpoint("commit-finalize")
         # The swap proper.  Order matters: build_gates reads the *new*
@@ -389,10 +390,11 @@ class ReconfigurationEngine:
         ctx = instance.ctx
         tracer = obs.ACTIVE
         plan = ReconfigurationPlan.compute(instance, target)
-        tracer.reconfig(
-            "plan", source=plan.source_mechanism,
-            target=plan.target_mechanism, steps=len(plan.steps),
-        )
+        if tracer.enabled:
+            tracer.reconfig(
+                "plan", source=plan.source_mechanism,
+                target=plan.target_mechanism, steps=len(plan.steps),
+            )
         snapshot = _LayoutSnapshot.capture(instance)
         start = ctx.clock.cycles
         quiesce_start = start
@@ -403,24 +405,28 @@ class ReconfigurationEngine:
         try:
             self._checkpoint("prepare")
             backend, prepared_regions = self._prepare(plan)
-            tracer.reconfig("prepare", target=plan.target_mechanism)
+            if tracer.enabled:
+                tracer.reconfig("prepare", target=plan.target_mechanism)
 
             phase = "QUIESCE"
             self._checkpoint("quiesce")
             quiesce_start = ctx.clock.cycles
             queued = len(getattr(instance.net_device, "rx_queue", ()) or ())
             self._quiesce(drain)
-            tracer.reconfig("quiesce", queued=queued)
+            if tracer.enabled:
+                tracer.reconfig("quiesce", queued=queued)
 
             phase = "COMMIT"
             steps_applied = self._commit(plan, backend, tracer)
-            tracer.reconfig("commit", steps=steps_applied)
+            if tracer.enabled:
+                tracer.reconfig("commit", steps=steps_applied)
 
             phase = "RESUME"
             self._checkpoint("resume")
             blackout = ctx.clock.cycles - quiesce_start
-            tracer.reconfig("resume")
-            tracer.reconfig_blackout(blackout, queued)
+            if tracer.enabled:
+                tracer.reconfig("resume")
+                tracer.reconfig_blackout(blackout, queued)
             report = MigrationReport(
                 "committed", "RESUME", plan,
                 steps_applied=steps_applied,
@@ -432,9 +438,10 @@ class ReconfigurationEngine:
             snapshot.restore(instance)
             for region in prepared_regions:
                 self.abandoned_regions.add(id(region))
-            tracer.reconfig(
-                "rollback", phase=phase, fault=type(fault).__name__,
-            )
+            if tracer.enabled:
+                tracer.reconfig(
+                    "rollback", phase=phase, fault=type(fault).__name__,
+                )
             report = MigrationReport(
                 "rolled-back", phase, plan, fault=fault,
                 steps_applied=steps_applied,

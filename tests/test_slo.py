@@ -95,26 +95,6 @@ class TestSloEvaluator:
         assert index == 0
         assert burn == pytest.approx(2.0)
 
-    def test_burn_over_one_aligned_window_matches_burn_rate(self):
-        ev = self._evaluator(objective=0.5, window=100.0)
-        ev.record(_span(1, 0.0, 50.0))
-        ev.record(_span(2, 0.0, 5.0))
-        assert ev.burn_over(0.0, 100.0) == ev.burn_rate(0)
-        assert ev.burn_over(100.0, 200.0) == ev.burn_rate(1) == 0.0
-
-    def test_burn_over_weights_partial_overlap(self):
-        ev = self._evaluator(objective=0.5, window=100.0)
-        ev.record(_span(1, 0.0, 50.0))               # window 0: 1 bad
-        ev.record(_span(2, 100.0, 5.0))              # window 1: 1 good
-        # [50, 150) takes half of each window: 0.5 bad vs 0.5 good.
-        assert ev.burn_over(50.0, 150.0) == pytest.approx(1.0)
-
-    def test_burn_over_empty_range_is_zero(self):
-        ev = self._evaluator()
-        ev.record(_span(1, 0.0, 50.0))
-        assert ev.burn_over(100.0, 100.0) == 0.0
-        assert ev.burn_over(200.0, 100.0) == 0.0
-
     def test_worst_window_tie_breaks_to_earliest(self):
         ev = self._evaluator(objective=0.5, window=100.0)
         ev.record(_span(1, 0.0, 50.0))
@@ -241,22 +221,6 @@ class TestTelemetryHub:
         hub._on_span_complete(span)
         (row,) = hub.evaluator_input()["windows"]
         assert row["gate_crossings"] == 1.0
-
-    def test_evaluator_input_burn_with_misaligned_slo_windows(self):
-        """Hub windows of 100 cycles over SLO windows of 75: the burn per
-        hub window is the overlap-weighted mix of the SLO windows it
-        spans, not a silently floor-divided lookup."""
-        hub = self._hub(slo_window_cycles=75.0)
-        self._complete(hub, 1, 40.0, 5.0)    # completes 45: SLO window 0
-        self._complete(hub, 2, 80.0, 50.0)   # completes 130: SLO window 1
-        payload = hub.evaluator_input()
-        first, second = payload["windows"]
-        # Hub window 0 = [0, 100) covers SLO window 0 fully (1 good) and
-        # 25/75 of SLO window 1 (1 bad): burn = (1/3 / 4/3) / 0.5.
-        assert first["burn"]["p99"] == pytest.approx((1 / 4) / 0.5)
-        # Hub window 1 = [100, 200) covers 50/75 of SLO window 1 plus
-        # empty windows: all weighted traffic is bad.
-        assert second["burn"]["p99"] == pytest.approx(2.0)
 
     def test_tail_report_renders_the_whole_story(self):
         hub = self._hub()
