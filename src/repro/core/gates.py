@@ -159,10 +159,14 @@ class Gate:
             ctx.compartment = self.dst.index
             try:
                 injector = ctx.fault_injector
-                with ctx.in_library(library):
+                caller = ctx.current_library
+                ctx.current_library = library
+                try:
                     if injector is not None:
                         injector.on_gate_enter(self, ctx)
                     result = func(*args, **kwargs)
+                finally:
+                    ctx.current_library = caller
                 if injector is not None:
                     result = injector.on_gate_return(self, ctx, result)
                 return result

@@ -100,6 +100,9 @@ class Image:
         self.transform_report = transform_report
         self.backend_name = backend_name
         self._lib_to_comp = {}
+        #: library -> (compartment, its spec, multiplier); see
+        #: :meth:`work_multiplier`.
+        self._multipliers = {}
         for comp in self.compartments:
             for lib in comp.libraries:
                 if lib in self._lib_to_comp:
@@ -140,9 +143,22 @@ class Image:
         return len(self.compartments)
 
     def work_multiplier(self, library):
-        """Hardening multiplier for code of ``library`` in this image."""
+        """Hardening multiplier for code of ``library`` in this image.
+
+        Read on every unit of modelled work, so it is cached per
+        library.  An entry is used only while ``comp.spec`` is still the
+        object it was computed from: a migration's commit or a
+        rollback's restore reassigns the spec and so misses the cache,
+        and no caller has to clear it.  Libraries never change
+        compartment in a live image (migration refuses it).
+        """
+        cached = self._multipliers.get(library)
+        if cached is not None and cached[0].spec is cached[1]:
+            return cached[2]
         comp = self.compartment_of(library)
-        return work_multiplier(library, comp.hardening)
+        multiplier = work_multiplier(library, comp.hardening)
+        self._multipliers[library] = (comp, comp.spec, multiplier)
+        return multiplier
 
     def is_legal_entry(self, comp_index, func_name):
         return func_name in self.legal_entries.get(comp_index, ())
@@ -194,8 +210,12 @@ class Router:
                 # (Fig. 3 step 3b).
                 self.direct_calls += 1
                 ctx.clock.charge(self.costs.function_call)
-                with ctx.in_library(library):
+                caller = ctx.current_library
+                ctx.current_library = library
+                try:
                     return func(*args, **kwargs)
+                finally:
+                    ctx.current_library = caller
             name = getattr(func, "__name__", str(func))
             declared_entry = (
                 getattr(func, "__flexos_entry__", False)

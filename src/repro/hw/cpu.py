@@ -65,7 +65,17 @@ def use_context(ctx):
 
 
 class ExecutionContext:
-    """Mutable CPU state for one virtual hart running one image."""
+    """Mutable CPU state for one virtual hart running one image.
+
+    ``current_library`` names the micro-library whose code is executing.
+    Each routed-call site (the router's direct path in
+    :meth:`repro.core.image.Router.route`, the crossing in
+    :meth:`repro.core.gates.Gate._call_once`, and the
+    :func:`repro.kernel.lib.entrypoint` wrapper when no router is
+    installed) saves the caller's value, sets the callee's, and restores
+    the saved one in a ``finally`` block: whether the callee returns or
+    raises, the caller's library is back.
+    """
 
     def __init__(self, clock, costs, mmu, compartment=0, pkru=None,
                  address_space=None):
@@ -80,6 +90,8 @@ class ExecutionContext:
         #: the slow path.  Purely a wall-clock optimisation — see
         #: :mod:`repro.hw.tlb`.
         self.tlb = PermissionTLB() if default_enabled() else None
+        #: Library whose code is executing, None outside any entry
+        #: point; every routed call restores it on return and on raise.
         self.current_library = None
         self.current_thread = None
         #: Gate-transition counters, keyed by (from_comp, to_comp).
@@ -124,16 +136,6 @@ class ExecutionContext:
 
     def total_transitions(self):
         return sum(self.transitions.values())
-
-    @contextmanager
-    def in_library(self, library):
-        """Track which micro-library's code is executing."""
-        previous = self.current_library
-        self.current_library = library
-        try:
-            yield
-        finally:
-            self.current_library = previous
 
     def __repr__(self):
         return "ExecutionContext(comp=%s lib=%s cycles=%.0f)" % (

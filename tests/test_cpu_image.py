@@ -16,7 +16,7 @@ from repro.hw.cpu import (
 )
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import MMU
-from tests.conftest import make_config
+from tests.conftest import NESTING_MODES, check_nesting, make_config
 
 
 @pytest.fixture
@@ -57,14 +57,6 @@ class TestContextMachinery:
                 raise RuntimeError
         assert maybe_current_context() is None
 
-    def test_in_library_nesting(self, ctx):
-        with ctx.in_library("lwip"):
-            assert ctx.current_library == "lwip"
-            with ctx.in_library("uksched"):
-                assert ctx.current_library == "uksched"
-            assert ctx.current_library == "lwip"
-        assert ctx.current_library is None
-
     def test_charge_work_without_multiplier(self, ctx):
         ctx.charge_work(100, library="anything")
         assert ctx.clock.cycles == 100
@@ -83,6 +75,29 @@ class TestContextMachinery:
         ctx.record_transition(1, 0)
         assert ctx.transitions == {(0, 1): 2, (1, 0): 1}
         assert ctx.total_transitions() == 3
+
+
+@pytest.mark.parametrize("mode", NESTING_MODES)
+class TestRoutedLibraryTracking:
+    """``current_library`` across nested entry-point calls.
+
+    Each routed call saves the caller's library, sets the callee's and
+    restores the caller's on return and on raise.  The router's direct
+    path and the entry-point wrapper with no router are driven here;
+    the gate path is driven in ``tests/test_gate_unwind.py``.
+    """
+
+    def test_router_direct_path(self, mpk_instance, mode):
+        router = mpk_instance.router
+        with mpk_instance.run():
+            # vfscore and uksched share the default compartment.
+            check_nesting(mpk_instance.ctx, "vfscore", "uksched", mode)
+        assert (router.direct_calls, router.gated_calls) == (2, 0)
+
+    def test_entrypoint_without_router(self, ctx, mode):
+        assert ctx.router is None
+        with use_context(ctx):
+            check_nesting(ctx, "lwip", "uksched", mode)
 
 
 class TestImageLookups:

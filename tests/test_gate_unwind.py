@@ -6,7 +6,10 @@ clean return — PKRU restored, address space restored, ``compartment``
 and ``current_library`` back to the caller's, ``gate_depth`` balanced,
 and both crossings charged to the clock.  Also covers the once-broken
 path where :meth:`Gate._enter` itself faults (the EPT descriptor write
-is rejected): ``gate_depth`` must still be restored.
+is rejected): ``gate_depth`` must still be restored.  Finally, nested
+entry points routed through real gates of a booted image must see their
+own ``current_library`` and give the caller's back, on return and on
+raise.
 """
 
 import pytest
@@ -28,6 +31,7 @@ from repro.hw.ept import AddressSpace, SharedWindow
 from repro.hw.memory import Perm, PhysicalMemory
 from repro.hw.mmu import MMU
 from repro.hw.mpk import PKRU
+from tests.conftest import NESTING_MODES, check_nesting
 
 
 class CalleeError(ReproError):
@@ -307,3 +311,15 @@ class TestNestedCrossingUnwind:
         assert ctx.clock.cycles - before >= (
             2 * outer.one_way_cost() + 2 * inner.one_way_cost()
         )
+
+
+@pytest.mark.parametrize("mode", NESTING_MODES)
+def test_routed_gates_restore_current_library(mpk_instance, mode):
+    """app -> lwip crosses into comp2, lwip -> vfscore crosses back:
+    both levels are gated, and each restores its caller's library."""
+    router = mpk_instance.router
+    with mpk_instance.run():
+        check_nesting(mpk_instance.ctx, "lwip", "vfscore", mode)
+        assert mpk_instance.ctx.gate_depth == 0
+        assert mpk_instance.ctx.compartment == 0
+    assert (router.direct_calls, router.gated_calls) == (0, 2)

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hardening import parse_hardening, work_multiplier
 from repro.core.toolchain.build import build_image
 from repro.core.vm import FlexOSInstance, Machine
 from repro.errors import ConfigError, MigrationFault, ReconfigError
+from repro.faults import FaultInjector
 from repro.faults.supervisor import make_policy
+from repro.kernel.lib import entrypoint, work
 from repro.reconfig import (
     HARDEN_LADDER,
     ReconfigurationEngine,
@@ -223,6 +226,77 @@ class TestAtomicityProperty:
                 )
                 == layout_fingerprint(ref.instance)
             )
+
+
+PLAIN = work_multiplier("lwip", parse_hardening(()))
+KASAN = work_multiplier("lwip", parse_hardening(("kasan",)))
+
+
+def lwip_multiplier(instance):
+    """Run 1,000 cycles of work in lwip through a routed call and
+    return the hardening multiplier it was charged."""
+
+    @entrypoint("lwip")
+    def lwip_work():
+        work(1000.0)
+
+    charged = instance.ctx.work_by_library
+    before = charged.get("lwip", 0.0)
+    lwip_work()
+    return (charged["lwip"] - before) / 1000.0
+
+
+class ProbeAtResume(FaultInjector):
+    """Runs lwip work at the migration's RESUME checkpoint, i.e. inside
+    the window after COMMIT has swapped the specs, before any armed
+    fault there rolls the migration back."""
+
+    def __init__(self):
+        super().__init__()
+        self.in_window = []
+
+    def on_migration_point(self, phase, step=None):
+        if phase == "resume":
+            self.in_window.append(lwip_multiplier(self.instance))
+        super().on_migration_point(phase, step)
+
+
+class TestHardeningMultiplier:
+    """The per-library multiplier cache follows every spec swap.
+
+    The two layouts differ only in comp2's hardening, which the harden
+    ladder never changes: lwip's work must be charged the committed
+    layout's multiplier on the next call, and the source's again after
+    a rollback.
+    """
+
+    def test_commit_applies_on_next_call(self):
+        assert KASAN > PLAIN
+        instance = boot("intel-mpk")
+        engine = ReconfigurationEngine(instance)
+        with instance.run():
+            assert lwip_multiplier(instance) == PLAIN
+            report = engine.migrate(
+                reconfig_config("intel-mpk", hardening=("kasan",)),
+            )
+            assert report.committed
+            assert lwip_multiplier(instance) == KASAN
+            assert engine.migrate(reconfig_config("intel-mpk")).committed
+            assert lwip_multiplier(instance) == PLAIN
+
+    def test_rollback_restores_source_multiplier(self):
+        instance = boot("intel-mpk")
+        engine = ReconfigurationEngine(instance)
+        target = reconfig_config("intel-mpk", hardening=("kasan",))
+        injector = instance.attach_injector(ProbeAtResume())
+        injector.arm_migration(injection_points(engine.plan(target)) - 1)
+        with instance.run():
+            assert lwip_multiplier(instance) == PLAIN
+            report = engine.migrate(target)
+            assert report.outcome == "rolled-back"
+            assert report.phase_reached == "RESUME"
+            assert injector.in_window == [KASAN]
+            assert lwip_multiplier(instance) == PLAIN
 
 
 class TestQuiesce:

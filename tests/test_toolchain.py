@@ -1,5 +1,10 @@
 """Toolchain tests: callgraph, transformation, verification, linker, build."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.backends import get_backend
@@ -250,3 +255,46 @@ class TestLinkerAndBuild:
         config = make_config(isolate=("lwip",))
         image = build_image(config)
         assert "gate-to-mpk" in image.transform_report.rules
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: The benchmark suite child's imports, then a build and boot of every
+#: suite workload; prints whether networkx got imported on the way.
+BUILD_AND_BOOT = """
+import sys
+
+import benchmarks.suite.child
+from benchmarks.suite.workloads import CORES, WORKLOADS
+from repro.bench.functional import config_for
+from repro.bench.load import LOAD_ISOLATE, run_load
+from repro.core.toolchain.build import build_image
+from repro.core.vm import FlexOSInstance, Machine
+from repro.hw.costs import CostModel
+from repro.kernel.net.device import LinkedDevices
+
+costs = CostModel.xeon_4114()
+for workload in WORKLOADS:
+    FlexOSInstance(
+        build_image(config_for(workload.mechanism,
+                               LOAD_ISOLATE[workload.app])),
+        machine=Machine(costs),
+        net_device=None if workload.app == "sqlite"
+        else LinkedDevices(costs).a,
+        cores=CORES,
+    ).boot()
+print(sorted(name for name in sys.modules if name.startswith("networkx")))
+"""
+
+
+def test_build_and_boot_do_not_import_networkx():
+    """networkx serves exploration (the configuration poset) and call-
+    graph analysis only; building and booting an image must not pay for
+    importing it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", BUILD_AND_BOOT], cwd=str(ROOT), env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
