@@ -81,23 +81,83 @@ class Gate:
     def call(self, ctx, library, func, args, kwargs):
         """Perform the cross-compartment call ``func(*args, **kwargs)``.
 
-        A fault raised by the callee first unwinds through
-        :meth:`_call_once` (which restores the caller's domain exactly as
-        a clean return would), then reaches the per-compartment
-        supervisor, whose policy decides: propagate the raw fault, retry
-        or restart-and-replay the call, or convert it into a
-        :class:`~repro.errors.DegradedService` the application can answer
-        gracefully.  Without a supervisor the fault propagates unchanged.
+        Each attempt is one crossing: enter, run, and unwind
+        symmetrically.  The unwind is exception-safe at every stage:
+        even when :meth:`_enter` itself faults (e.g. the EPT descriptor
+        write is rejected), ``gate_depth`` is restored; and a raising
+        callee is still charged the return crossing, has the caller's
+        PKRU/address space/stack restored, and leaves
+        ``ctx.compartment`` untouched — the hardware pops the domain no
+        matter how the call ends.
+
+        A fault raised by the callee therefore reaches the
+        per-compartment supervisor with the caller's domain already
+        restored, exactly as a clean return would leave it.  The
+        policy decides: propagate the raw fault, retry or
+        restart-and-replay the call, or convert it into a
+        :class:`~repro.errors.DegradedService` the application can
+        answer gracefully.  Without a supervisor the fault propagates
+        unchanged.
 
         Replays are bounded by :attr:`MAX_SUPERVISED_ATTEMPTS` no matter
         what the policy answers, so a pathological always-retry policy
         cannot wedge the gate: at the ceiling the raw fault propagates
         (and a ``gate-retry-ceiling`` trace event records the override).
         """
+        clock = ctx.clock
         attempt = 0
         while True:
             try:
-                return self._call_once(ctx, library, func, args, kwargs)
+                ctx.record_transition(self.src.index, self.dst.index)
+                tracer = obs.ACTIVE
+                span = tracer.gate_begin(self, ctx, library) \
+                    if tracer.enabled else None
+                status = "ok"
+                # Pure crossing overhead: the cycles charged entering and
+                # leaving the domain (one-way costs, stack creation,
+                # descriptor copies), excluding everything the callee
+                # itself did.  Measured by clock reads around the
+                # unchanged charge sequence, so enabling the measurement
+                # perturbs no virtual-time result; request spans book
+                # exactly this as the crossing's gate cycles.
+                overhead = 0.0
+                ctx.gate_depth += 1
+                try:
+                    one_way = self.one_way_cost()
+                    entered_at = clock.cycles
+                    clock.charge(one_way)
+                    state = self._enter(ctx)
+                    overhead += clock.cycles - entered_at
+                    previous_comp = ctx.compartment
+                    ctx.compartment = self.dst.index
+                    try:
+                        injector = ctx.fault_injector
+                        caller = ctx.current_library
+                        ctx.current_library = library
+                        try:
+                            if injector is not None:
+                                injector.on_gate_enter(self, ctx)
+                            result = func(*args, **kwargs)
+                        finally:
+                            ctx.current_library = caller
+                        if injector is not None:
+                            result = injector.on_gate_return(self, ctx,
+                                                             result)
+                        return result
+                    finally:
+                        ctx.compartment = previous_comp
+                        left_at = clock.cycles
+                        clock.charge(one_way)
+                        self._leave(ctx, state)
+                        overhead += clock.cycles - left_at
+                except ReproError as fault:
+                    status = type(fault).__name__
+                    raise
+                finally:
+                    ctx.gate_depth -= 1
+                    if span is not None:
+                        tracer.gate_end(span, ctx, status=status,
+                                        overhead=overhead)
             except CompartmentFault:
                 # Already supervised by an inner gate; never re-wrap.
                 raise
@@ -126,64 +186,6 @@ class Gate:
                     continue
                 raise
 
-    def _call_once(self, ctx, library, func, args, kwargs):
-        """One crossing: enter, run, and unwind symmetrically.
-
-        The unwind is exception-safe at every stage: even when
-        :meth:`_enter` itself faults (e.g. the EPT descriptor write is
-        rejected), ``gate_depth`` is restored; and a raising callee is
-        still charged the return crossing, has the caller's PKRU/address
-        space/stack restored, and leaves ``ctx.compartment`` untouched —
-        the hardware pops the domain no matter how the call ends.
-        """
-        ctx.record_transition(self.src.index, self.dst.index)
-        tracer = obs.ACTIVE
-        span = tracer.gate_begin(self, ctx, library) if tracer.enabled \
-            else None
-        status = "ok"
-        clock = ctx.clock
-        # Pure crossing overhead: the cycles charged entering and leaving
-        # the domain (one-way costs, stack creation, descriptor copies),
-        # excluding everything the callee itself did.  Measured by clock
-        # reads around the unchanged charge sequence, so enabling the
-        # measurement perturbs no virtual-time result; request spans book
-        # exactly this as the crossing's gate cycles.
-        overhead = 0.0
-        ctx.gate_depth += 1
-        try:
-            entered_at = clock.cycles
-            clock.charge(self.one_way_cost())
-            state = self._enter(ctx)
-            overhead += clock.cycles - entered_at
-            previous_comp = ctx.compartment
-            ctx.compartment = self.dst.index
-            try:
-                injector = ctx.fault_injector
-                caller = ctx.current_library
-                ctx.current_library = library
-                try:
-                    if injector is not None:
-                        injector.on_gate_enter(self, ctx)
-                    result = func(*args, **kwargs)
-                finally:
-                    ctx.current_library = caller
-                if injector is not None:
-                    result = injector.on_gate_return(self, ctx, result)
-                return result
-            finally:
-                ctx.compartment = previous_comp
-                left_at = clock.cycles
-                clock.charge(self.one_way_cost())
-                self._leave(ctx, state)
-                overhead += clock.cycles - left_at
-        except ReproError as fault:
-            status = type(fault).__name__
-            raise
-        finally:
-            ctx.gate_depth -= 1
-            if span is not None:
-                tracer.gate_end(span, ctx, status=status,
-                                overhead=overhead)
 
 class FunctionCallGate(Gate):
     """Same-compartment call: an ordinary System V function call."""
@@ -303,38 +305,37 @@ class EptRpcGate(Gate):
         return self.costs.gate_ept
 
     def call(self, ctx, library, func, args, kwargs):
-        # The RPC server checks the function pointer before executing it:
-        # the EPT backend's stronger CFI (entry *and* exit control).
-        name = getattr(func, "__name__", str(func))
+        """Validate the RPC, then cross as :meth:`Gate.call` does.
+
+        Both checks run before the crossing and its supervision.  The
+        RPC server checks the function pointer before executing it: the
+        EPT backend's stronger CFI (entry *and* exit control).  Then the
+        unmarshalling side checks the arguments.  Section 3.3 assumes
+        interfaces "correctly check arguments and are free of confused
+        deputy/Iago situations".  For the RPC server that means: pointer
+        arguments must reference *shared* memory — a caller handing the
+        server a pointer into the server's own private data (hoping the
+        server dereferences it with its own authority) is rejected
+        before the call runs.
+        """
         if func not in self._entry_cache:
+            name = getattr(func, "__name__", str(func))
             declared_entry = getattr(func, "__flexos_entry__", False)
             if (self.legal_entries is not None
                     and name not in self.legal_entries
                     and not declared_entry):
                 raise EntryPointViolation(name, self.dst.name)
             self._entry_cache.add(func)
-        self._check_arguments(name, args, kwargs)
+        for value in (*args, *kwargs.values()):
+            if isinstance(value, MemoryObject) \
+                    and value.region.compartment == self.dst.index:
+                raise IagoViolation(
+                    "RPC %s to %s passed a pointer to the callee's "
+                    "private %r (confused-deputy attempt)"
+                    % (getattr(func, "__name__", str(func)), self.dst.name,
+                       value.symbol)
+                )
         return super().call(ctx, library, func, args, kwargs)
-
-    def _check_arguments(self, name, args, kwargs):
-        """The unmarshalling side's argument sanity check.
-
-        Section 3.3 assumes interfaces "correctly check arguments and are
-        free of confused deputy/Iago situations".  For the RPC server
-        that means: pointer arguments must reference *shared* memory — a
-        caller handing the server a pointer into the server's own private
-        data (hoping the server dereferences it with its own authority)
-        is rejected before the call runs.
-        """
-        for value in list(args) + list(kwargs.values()):
-            if isinstance(value, MemoryObject):
-                region = value.region
-                if region.compartment == self.dst.index:
-                    raise IagoViolation(
-                        "RPC %s to %s passed a pointer to the callee's "
-                        "private %r (confused-deputy attempt)"
-                        % (name, self.dst.name, value.symbol)
-                    )
 
     def _enter(self, ctx):
         # Marshal the descriptor into this VM's slice of the window.
@@ -346,13 +347,15 @@ class EptRpcGate(Gate):
                               symbol="rpc-descriptor")
         state = ctx.address_space
         ctx.address_space = self.dst.address_space
-        record_space_switch(state, ctx.address_space, "call")
+        if obs.ACTIVE.enabled:
+            record_space_switch(state, ctx.address_space, "call")
         return state
 
     def _leave(self, ctx, state):
         # Return value travels back through the shared window.
         ctx.clock.charge(8 * self.costs.memcpy_per_byte)
-        record_space_switch(ctx.address_space, state, "return")
+        if obs.ACTIVE.enabled:
+            record_space_switch(ctx.address_space, state, "return")
         ctx.address_space = state
 
 class CheriGate(Gate):

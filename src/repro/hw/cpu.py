@@ -70,7 +70,7 @@ class ExecutionContext:
     ``current_library`` names the micro-library whose code is executing.
     Each routed-call site (the router's direct path in
     :meth:`repro.core.image.Router.route`, the crossing in
-    :meth:`repro.core.gates.Gate._call_once`, and the
+    :meth:`repro.core.gates.Gate.call`, and the
     :func:`repro.kernel.lib.entrypoint` wrapper when no router is
     installed) saves the caller's value, sets the callee's, and restores
     the saved one in a ``finally`` block: whether the callee returns or

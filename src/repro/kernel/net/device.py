@@ -11,17 +11,22 @@ from __future__ import annotations
 from collections import deque
 
 from repro.kernel.lib import entrypoint, work
+from repro.kernel.net.headers import mac_bytes
 
 #: Standard Ethernet MTU.
 MTU = 1500
 
 
 class NetDevice:
-    """One NIC: a transmit hook and a receive queue."""
+    """One NIC: a transmit hook and a receive queue.
+
+    ``mac`` is given as ``aa:bb:cc:dd:ee:ff`` and kept as 6 raw bytes,
+    the form frames carry it in.
+    """
 
     def __init__(self, name, mac, costs):
         self.name = name
-        self.mac = mac
+        self.mac = mac_bytes(mac)
         self.costs = costs
         self.rx_queue = deque()
         self.peer = None

@@ -3,6 +3,12 @@
 Real wire formats (struct-packed, checksummed) so that header corruption,
 truncation, and checksum failures are detectable in tests, and payload
 sizes seen by the cost model equal what real frames would carry.
+
+The stack keeps its addresses as raw bytes and frames with the
+``pack_*``/``unpack_*`` codecs.  The header classes wrap the same codecs
+behind string fields (``"10.0.0.1"``, ``"02:00:00:00:00:0a"``); the
+stack uses them where a header carries no address (TCP, UDP, ICMP) and
+on the ARP path.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 
-#: Ethernet broadcast address.
+#: Ethernet broadcast address, as a string and as raw bytes.
 MAC_BROADCAST = "ff:ff:ff:ff:ff:ff"
+MAC_BROADCAST_RAW = b"\xff" * 6
 
 # TCP flags
 FIN = 0x01
@@ -58,15 +65,62 @@ def ip_str(raw):
 
 
 def checksum16(data):
-    """RFC 1071 ones-complement sum over 16-bit words."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    """RFC 1071 ones-complement sum over 16-bit words.
+
+    ``data`` (bytes, bytearray or memoryview) read as one big-endian
+    integer is congruent to the sum of its 16-bit words modulo 0xFFFF,
+    since 2**16 is 1 modulo 0xFFFF; an odd length is padded with a zero
+    byte.  A non-zero sum folds to 0xFFFF, not 0, as the carry-folding
+    loop of the RFC does.
+    """
+    total = int.from_bytes(data, "big") << 8 * (len(data) & 1)
+    folded = total % 0xFFFF or (0xFFFF if total else 0)
+    return ~folded & 0xFFFF
+
+
+def pack_ethernet(dst, src, ethertype):
+    """An Ethernet header from raw 6-byte MACs."""
+    return dst + src + struct.pack("!H", ethertype)
+
+
+def unpack_ethernet(frame):
+    """Split a frame into ``(dst, src, ethertype, payload)``, MACs raw."""
+    if len(frame) < ETH_HEADER_LEN:
+        raise NetworkError("runt ethernet frame (%d bytes)" % len(frame))
+    return (frame[0:6], frame[6:12], (frame[12] << 8) | frame[13],
+            frame[ETH_HEADER_LEN:])
+
+
+def pack_ipv4(src, dst, proto, total_len, ident=0, ttl=64):
+    """A checksummed 20-byte IPv4 header from raw 4-byte addresses.
+
+    The identification field wraps at 16 bits, as on the wire.
+    """
+    header = struct.pack(
+        "!BBHHHBBH4s4s",
+        0x45, 0, total_len, ident & 0xFFFF, 0, ttl, proto, 0, src, dst,
+    )
+    return header[:10] + struct.pack("!H", checksum16(header)) + header[12:]
+
+
+def unpack_ipv4(packet):
+    """Verify an IPv4 header and split the packet, addresses raw.
+
+    Returns ``(src, dst, proto, total_len, ident, ttl, body)``; raises
+    :class:`~repro.errors.NetworkError` on a truncated header, a
+    version other than 4, or a checksum mismatch.
+    """
+    if len(packet) < IP_HEADER_LEN:
+        raise NetworkError("truncated IPv4 header")
+    header = packet[:IP_HEADER_LEN]
+    (vihl, _tos, total_len, ident, _frag, ttl, proto, _csum,
+     src, dst) = struct.unpack("!BBHHHBBH4s4s", header)
+    if vihl >> 4 != 4:
+        raise NetworkError("not an IPv4 packet (version %d)" % (vihl >> 4))
+    if checksum16(header) != 0:
+        raise NetworkError("IPv4 header checksum mismatch")
+    return (src, dst, proto, total_len, ident, ttl,
+            packet[IP_HEADER_LEN:total_len])
 
 
 class EthernetHeader:
@@ -78,18 +132,13 @@ class EthernetHeader:
         self.ethertype = ethertype
 
     def pack(self):
-        return mac_bytes(self.dst) + mac_bytes(self.src) + struct.pack(
-            "!H", self.ethertype
-        )
+        return pack_ethernet(mac_bytes(self.dst), mac_bytes(self.src),
+                             self.ethertype)
 
     @classmethod
     def unpack(cls, frame):
-        if len(frame) < ETH_HEADER_LEN:
-            raise NetworkError("runt ethernet frame (%d bytes)" % len(frame))
-        dst = mac_str(frame[0:6])
-        src = mac_str(frame[6:12])
-        (ethertype,) = struct.unpack("!H", frame[12:14])
-        return cls(dst, src, ethertype), frame[ETH_HEADER_LEN:]
+        dst, src, ethertype, payload = unpack_ethernet(frame)
+        return cls(mac_str(dst), mac_str(src), ethertype), payload
 
 
 class Ipv4Header:
@@ -104,28 +153,14 @@ class Ipv4Header:
         self.ttl = ttl
 
     def pack(self):
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45, 0, self.total_len, self.ident, 0,
-            self.ttl, self.proto, 0,
-            ip_bytes(self.src), ip_bytes(self.dst),
-        )
-        csum = checksum16(header)
-        return header[:10] + struct.pack("!H", csum) + header[12:]
+        return pack_ipv4(ip_bytes(self.src), ip_bytes(self.dst), self.proto,
+                         self.total_len, ident=self.ident, ttl=self.ttl)
 
     @classmethod
     def unpack(cls, packet):
-        if len(packet) < IP_HEADER_LEN:
-            raise NetworkError("truncated IPv4 header")
-        (vihl, _tos, total_len, ident, _frag, ttl, proto, _csum,
-         src, dst) = struct.unpack("!BBHHHBBH4s4s", packet[:IP_HEADER_LEN])
-        if vihl >> 4 != 4:
-            raise NetworkError("not an IPv4 packet (version %d)" % (vihl >> 4))
-        if checksum16(packet[:IP_HEADER_LEN]) != 0:
-            raise NetworkError("IPv4 header checksum mismatch")
-        header = cls(ip_str(src), ip_str(dst), proto, total_len,
-                     ident=ident, ttl=ttl)
-        return header, packet[IP_HEADER_LEN:total_len]
+        src, dst, proto, total_len, ident, ttl, body = unpack_ipv4(packet)
+        return cls(ip_str(src), ip_str(dst), proto, total_len,
+                   ident=ident, ttl=ttl), body
 
 
 class TcpHeader:

@@ -3,6 +3,12 @@
 All public operations are ``lwip`` entry points, so a compartment boundary
 around the network stack turns every socket-buffer poll, send, and device
 pump into a gated cross-call.
+
+Inside the stack an address is raw bytes, as frames carry it: the
+device's MAC, the stack's IP, every connection's endpoints and the ARP
+cache.  Dotted-quad strings are converted once where they enter (a
+connect, a datagram or ping destination) and formatted where they leave
+(a datagram's or echo reply's source, :attr:`NetworkStack.arp_table`).
 """
 
 from __future__ import annotations
@@ -19,15 +25,22 @@ from repro.kernel.net.headers import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
     MAC_BROADCAST,
+    MAC_BROADCAST_RAW,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
     ArpHeader,
-    EthernetHeader,
     IcmpHeader,
-    Ipv4Header,
     TcpHeader,
     UdpHeader,
+    ip_bytes,
+    ip_str,
+    mac_bytes,
+    mac_str,
+    pack_ethernet,
+    pack_ipv4,
+    unpack_ethernet,
+    unpack_ipv4,
 )
 from repro.kernel.net.tcp import TcpConnection, TcpState
 
@@ -37,7 +50,9 @@ class NetworkStack:
 
     def __init__(self, device, ip, costs, clock):
         self.device = device
+        #: This host's address as given (dotted quad), and as raw bytes.
         self.ip = ip
+        self.ip_raw = ip_bytes(ip)
         self.costs = costs
         self.clock = clock
         self._conns = {}       # 4-tuple -> TcpConnection
@@ -45,19 +60,25 @@ class NetworkStack:
         self._udp_queues = {}  # port -> deque of (src_ip, src_port, payload)
         self._next_ident = 1
         self._next_port = 49152
-        #: src IP of the frame currently being demuxed (handshake helper).
+        #: Raw src IP of the frame being demuxed (handshake helper).
         self.last_src_ip = None
         self.frames_in = 0
         self.frames_out = 0
-        #: ARP cache: ip -> mac; packets parked while resolution runs.
-        self.arp_table = {}
-        self._arp_pending = {}  # ip -> [(proto, body), ...]
+        #: ARP cache, raw ip -> raw mac; packets parked while resolution
+        #: runs.
+        self._arp = {}
+        self._arp_pending = {}  # raw ip -> [(proto, body), ...]
         #: ICMP echo replies received: [(src_ip, ident, seq)].
         self.ping_replies = []
         self._ping_ident = 0x4242
 
     def now_ns(self):
         return self.clock.ns
+
+    @property
+    def arp_table(self):
+        """The ARP cache as ``{"10.0.0.1": device MAC}`` (a copy)."""
+        return {ip_str(ip): mac for ip, mac in self._arp.items()}
 
     # -- connection registry ----------------------------------------------------
     def register_connection(self, conn):
@@ -79,62 +100,67 @@ class NetworkStack:
     def udp_send(self, src_port, dst_ip, dst_port, payload):
         work(self.costs.tcp_segment / 2.0)
         header = UdpHeader(src_port, dst_port, len(payload) + 8)
-        self._ip_output(dst_ip, PROTO_UDP, header.pack() + payload)
+        self._ip_output(ip_bytes(dst_ip), PROTO_UDP, header.pack() + payload)
 
     def _ip_output(self, dst_ip, proto, body):
+        """Frame ``body`` for the raw address ``dst_ip`` and transmit it."""
         work(self.costs.ip_route)
-        dst_mac = self.arp_table.get(dst_ip)
+        dst_mac = self._arp.get(dst_ip)
         if dst_mac is None:
             # Park the packet and ask the link who owns dst_ip.
             self._arp_pending.setdefault(dst_ip, []).append((proto, body))
-            self._send_arp(ARP_REQUEST, MAC_BROADCAST, dst_ip)
+            self._send_arp(ARP_REQUEST, MAC_BROADCAST, ip_str(dst_ip))
             return
-        ip_header = Ipv4Header(self.ip, dst_ip, proto, 20 + len(body),
-                               ident=self._next_ident)
+        frame = (
+            pack_ethernet(dst_mac, self.device.mac, ETHERTYPE_IPV4)
+            + pack_ipv4(self.ip_raw, dst_ip, proto, 20 + len(body),
+                        ident=self._next_ident)
+            + body
+        )
         self._next_ident += 1
-        eth = EthernetHeader(dst_mac, self.device.mac)
-        frame = eth.pack() + ip_header.pack() + body
         self.frames_out += 1
         self.device.transmit(frame)
 
     # -- ARP -----------------------------------------------------------------
     def _send_arp(self, oper, target_mac, target_ip):
-        arp = ArpHeader(oper, self.device.mac, self.ip, target_mac,
+        """Send one ARP packet; addresses are strings, as in ArpHeader."""
+        arp = ArpHeader(oper, mac_str(self.device.mac), self.ip, target_mac,
                         target_ip)
-        eth = EthernetHeader(
-            MAC_BROADCAST if oper == ARP_REQUEST else target_mac,
-            self.device.mac, ethertype=ETHERTYPE_ARP,
-        )
+        dst_mac = MAC_BROADCAST if oper == ARP_REQUEST else target_mac
         self.frames_out += 1
-        self.device.transmit(eth.pack() + arp.pack())
+        self.device.transmit(
+            pack_ethernet(mac_bytes(dst_mac), self.device.mac, ETHERTYPE_ARP)
+            + arp.pack()
+        )
 
     def _arp_input(self, packet):
         arp = ArpHeader.unpack(packet)
+        sender_ip = ip_bytes(arp.sender_ip)
         # Gratuitous learning: remember the sender either way.
-        self.arp_table[arp.sender_ip] = arp.sender_mac
+        self._arp[sender_ip] = mac_bytes(arp.sender_mac)
         if arp.oper == ARP_REQUEST and arp.target_ip == self.ip:
             self._send_arp(ARP_REPLY, arp.sender_mac, arp.sender_ip)
         # Flush packets parked on this resolution.
-        parked = self._arp_pending.pop(arp.sender_ip, [])
+        parked = self._arp_pending.pop(sender_ip, [])
         for proto, body in parked:
-            self._ip_output(arp.sender_ip, proto, body)
+            self._ip_output(sender_ip, proto, body)
 
     # -- ICMP ---------------------------------------------------------------
     @entrypoint("lwip")
     def ping(self, dst_ip, seq=1, payload=b"flexos-ping"):
         """Send one ICMP echo request; replies land in ping_replies."""
         header = IcmpHeader(ICMP_ECHO_REQUEST, self._ping_ident, seq)
-        self._ip_output(dst_ip, PROTO_ICMP, header.pack(payload))
+        self._ip_output(ip_bytes(dst_ip), PROTO_ICMP, header.pack(payload))
         return self._ping_ident
 
-    def _icmp_input(self, ip_header, body):
+    def _icmp_input(self, src_ip, body):
         work(self.costs.tcp_segment / 3.0)
         icmp, payload = IcmpHeader.unpack(body)
         if icmp.icmp_type == ICMP_ECHO_REQUEST:
             reply = IcmpHeader(ICMP_ECHO_REPLY, icmp.ident, icmp.seq)
-            self._ip_output(ip_header.src, PROTO_ICMP, reply.pack(payload))
+            self._ip_output(src_ip, PROTO_ICMP, reply.pack(payload))
         elif icmp.icmp_type == ICMP_ECHO_REPLY:
-            self.ping_replies.append((ip_header.src, icmp.ident, icmp.seq))
+            self.ping_replies.append((ip_str(src_ip), icmp.ident, icmp.seq))
 
     # -- inbound path ---------------------------------------------------------
     @entrypoint("lwip")
@@ -151,32 +177,32 @@ class NetworkStack:
 
     def _input(self, frame):
         self.frames_in += 1
-        eth, packet = EthernetHeader.unpack(frame)
-        if eth.dst not in (self.device.mac, MAC_BROADCAST):
+        dst_mac, src_mac, ethertype, packet = unpack_ethernet(frame)
+        if dst_mac != self.device.mac and dst_mac != MAC_BROADCAST_RAW:
             return  # not addressed to us
-        if eth.ethertype == ETHERTYPE_ARP:
+        if ethertype == ETHERTYPE_ARP:
             self._arp_input(packet)
             return
-        ip_header, body = Ipv4Header.unpack(packet)
-        if ip_header.dst != self.ip:
+        src_ip, dst_ip, proto, _len, _ident, _ttl, body = unpack_ipv4(packet)
+        if dst_ip != self.ip_raw:
             return  # promiscuous frames are dropped
         work(self.costs.ip_route)
-        self.last_src_ip = ip_header.src
+        self.last_src_ip = src_ip
         # Opportunistic ARP learning from traffic we accept.
-        self.arp_table.setdefault(ip_header.src, eth.src)
-        if ip_header.proto == PROTO_TCP:
-            self._tcp_input(ip_header, body)
-        elif ip_header.proto == PROTO_UDP:
-            self._udp_input(ip_header, body)
-        elif ip_header.proto == PROTO_ICMP:
-            self._icmp_input(ip_header, body)
+        self._arp.setdefault(src_ip, src_mac)
+        if proto == PROTO_TCP:
+            self._tcp_input(src_ip, body)
+        elif proto == PROTO_UDP:
+            self._udp_input(src_ip, body)
+        elif proto == PROTO_ICMP:
+            self._icmp_input(src_ip, body)
         else:
-            raise NetworkError("unknown IP proto %d" % ip_header.proto)
+            raise NetworkError("unknown IP proto %d" % proto)
 
-    def _tcp_input(self, ip_header, body):
+    def _tcp_input(self, src_ip, body):
         work(self.costs.tcp_segment)
         header, payload = TcpHeader.unpack(body)
-        key = (self.ip, header.dst_port, ip_header.src, header.src_port)
+        key = (self.ip_raw, header.dst_port, src_ip, header.src_port)
         conn = self._conns.get(key)
         if conn is None:
             conn = self._listeners.get(header.dst_port)
@@ -184,11 +210,11 @@ class NetworkStack:
             return  # no socket: real stacks send RST; we drop.
         conn.on_segment(header, payload)
 
-    def _udp_input(self, ip_header, body):
+    def _udp_input(self, src_ip, body):
         work(self.costs.tcp_segment / 2.0)
         header, payload = UdpHeader.unpack(body)
         queue = self._udp_queues.setdefault(header.dst_port, deque())
-        queue.append((ip_header.src, header.src_port, payload))
+        queue.append((ip_str(src_ip), header.src_port, payload))
 
     # -- TCP control entry points ----------------------------------------------
     @entrypoint("lwip")
@@ -196,7 +222,7 @@ class NetworkStack:
         """Create a listening connection on ``port``."""
         if port in self._listeners:
             raise NetworkError("port %d already listening" % port)
-        conn = TcpConnection(self, self.ip, port)
+        conn = TcpConnection(self, self.ip_raw, port)
         conn.open_passive()
         self._listeners[port] = conn
         return conn
@@ -204,11 +230,12 @@ class NetworkStack:
     @entrypoint("lwip")
     def tcp_connect(self, dst_ip, dst_port):
         """Active open; returns the connection (handshake in flight)."""
-        conn = TcpConnection(self, self.ip, self.ephemeral_port())
-        conn.remote_ip = dst_ip
+        remote_ip = ip_bytes(dst_ip)
+        conn = TcpConnection(self, self.ip_raw, self.ephemeral_port())
+        conn.remote_ip = remote_ip
         conn.remote_port = dst_port
         self.register_connection(conn)
-        conn.open_active(dst_ip, dst_port)
+        conn.open_active(remote_ip, dst_port)
         return conn
 
     @entrypoint("lwip")

@@ -19,7 +19,7 @@ import enum
 from collections import deque
 
 from repro.errors import NetworkError
-from repro.kernel.net.headers import ACK, FIN, PSH, SYN, TcpHeader
+from repro.kernel.net.headers import ACK, FIN, PSH, SYN, TcpHeader, ip_str
 from repro.obs import tracer as obs
 
 #: Maximum segment size for a standard 1500-byte MTU.
@@ -46,7 +46,11 @@ class TcpState(enum.Enum):
 
 
 class TcpConnection:
-    """One TCP endpoint (identified by the local/remote 4-tuple)."""
+    """One TCP endpoint (identified by the local/remote 4-tuple).
+
+    ``local_ip`` and ``remote_ip`` are raw 4-byte addresses, as the
+    stack demuxes them.
+    """
 
     def __init__(self, stack, local_ip, local_port, remote_ip=None,
                  remote_port=None, isn=1000):
@@ -134,6 +138,8 @@ class TcpConnection:
 
     def _flush_backlog(self):
         """Transmit backlog chunks that fit the peer's window."""
+        if not self._send_backlog:
+            return
         now = self.stack.now_ns()
         while self._send_backlog:
             chunk = self._send_backlog[0]
@@ -183,19 +189,7 @@ class TcpConnection:
         if tracer.enabled:
             tracer.tcp_segment("rx", header.flags, len(payload),
                                port=self.local_port)
-        handler = {
-            TcpState.LISTEN: self._seg_listen,
-            TcpState.SYN_SENT: self._seg_syn_sent,
-            TcpState.SYN_RCVD: self._seg_syn_rcvd,
-            TcpState.ESTABLISHED: self._seg_established,
-            TcpState.FIN_WAIT_1: self._seg_fin_wait_1,
-            TcpState.FIN_WAIT_2: self._seg_fin_wait_2,
-            TcpState.CLOSE_WAIT: self._seg_close_wait,
-            TcpState.LAST_ACK: self._seg_last_ack,
-            TcpState.TIME_WAIT: self._seg_ignore,
-            TcpState.CLOSED: self._seg_ignore,
-        }[self.state]
-        handler(header, payload)
+        self.SEGMENT_HANDLERS[self.state](self, header, payload)
 
     def _seg_ignore(self, header, payload):
         pass
@@ -298,6 +292,21 @@ class TcpConnection:
         if self.snd_una == self.snd_nxt:
             self.state = TcpState.CLOSED
 
+    #: The segment handler of each state, called as
+    #: ``handler(connection, header, payload)``.
+    SEGMENT_HANDLERS = {
+        TcpState.LISTEN: _seg_listen,
+        TcpState.SYN_SENT: _seg_syn_sent,
+        TcpState.SYN_RCVD: _seg_syn_rcvd,
+        TcpState.ESTABLISHED: _seg_established,
+        TcpState.FIN_WAIT_1: _seg_fin_wait_1,
+        TcpState.FIN_WAIT_2: _seg_fin_wait_2,
+        TcpState.CLOSE_WAIT: _seg_close_wait,
+        TcpState.LAST_ACK: _seg_last_ack,
+        TcpState.TIME_WAIT: _seg_ignore,
+        TcpState.CLOSED: _seg_ignore,
+    }
+
     # -- application-facing reads ----------------------------------------------
     def read(self, max_bytes):
         """Dequeue up to ``max_bytes`` from the receive buffer.
@@ -322,6 +331,7 @@ class TcpConnection:
 
     def __repr__(self):
         return "TcpConnection(%s:%s <-> %s:%s %s)" % (
-            self.local_ip, self.local_port, self.remote_ip,
+            ip_str(self.local_ip), self.local_port,
+            None if self.remote_ip is None else ip_str(self.remote_ip),
             self.remote_port, self.state.value,
         )

@@ -26,7 +26,6 @@ embeds (``schema_version``, ``benchmark``, ``config``,
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 import json
 import os
 
@@ -48,6 +47,11 @@ ALLOWLIST_FILE = "allowlist.json"
 
 def config_digest(config):
     """Short stable digest of a benchmark's configuration dict."""
+    # Imported here: every simulator process imports this module through
+    # ``repro.obs``, and hashlib (OpenSSL) is a few milliseconds of
+    # start-up that only digesting callers need.
+    import hashlib
+
     payload = json.dumps(config or {}, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 

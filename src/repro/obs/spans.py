@@ -10,7 +10,7 @@ tail-latency explorer has to tell apart:
   additionally broken out via :attr:`~repro.kernel.thread.Thread.ready_at_cycles`
   (:attr:`RequestSpan.dispatch_wait_cycles`);
 * **gate** — the exact crossing overhead of every gate taken while
-  serving, measured by :meth:`repro.core.gates.Gate._call_once` as the
+  serving, measured by :meth:`repro.core.gates.Gate.call` as the
   cycles charged entering and leaving each domain (*not* span durations,
   which include callee work);
 * **app** — the residual: service time minus gate overhead.

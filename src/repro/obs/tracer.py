@@ -151,7 +151,7 @@ class Tracer:
     def gate_begin(self, gate, ctx, library):
         """Open a crossing span; returns a token for :meth:`gate_end`.
 
-        Called by :meth:`repro.core.gates.Gate._call_once` before the
+        Called by :meth:`repro.core.gates.Gate.call` before the
         domain switch; ``ctx.current_library`` still names the caller.
         """
         label = "%s->%s:%s" % (gate.src.name, gate.dst.name, library)
@@ -167,7 +167,7 @@ class Tracer:
 
         ``overhead`` is the crossing's *pure* isolation cost — the cycles
         the gate charged entering and leaving the domain, measured by
-        :meth:`~repro.core.gates.Gate._call_once` — as opposed to
+        :meth:`~repro.core.gates.Gate.call` — as opposed to
         ``dur``, which includes the callee's work.  Request spans book
         exactly this overhead as gate cycles.
         """

@@ -1,14 +1,23 @@
 """Network stack tests: headers, TCP state machine, sockets, loss."""
 
+import inspect
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.hw.clock import Clock
 from repro.hw.costs import CostModel
-from repro.kernel.net import LinkedDevices, NetworkStack, Socket
+from repro.kernel.net import LinkedDevices, NetworkStack, Socket, headers
 from repro.kernel.net.headers import (
     ACK,
-    FIN,
+    ETHERTYPE_ARP,
+    ETHERTYPE_IPV4,
+    MAC_BROADCAST_RAW,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
     SYN,
     EthernetHeader,
     Ipv4Header,
@@ -17,8 +26,11 @@ from repro.kernel.net.headers import (
     checksum16,
     ip_bytes,
     mac_bytes,
+    pack_ethernet,
+    pack_ipv4,
+    unpack_ipv4,
 )
-from repro.kernel.net.tcp import MSS, TcpState
+from repro.kernel.net.tcp import MSS, TcpConnection, TcpState
 
 
 @pytest.fixture
@@ -312,3 +324,197 @@ class TestSocketsAndUdp:
         # request -> reply -> flushed datagram.
         assert client.device.tx_frames == 2
         assert server.device.rx_frames == 2
+
+
+class TestStateTable:
+    def test_every_state_has_a_handler(self):
+        handlers = TcpConnection.SEGMENT_HANDLERS
+        assert set(handlers) == set(TcpState)
+        for handler in handlers.values():
+            assert getattr(TcpConnection, handler.__name__) is handler
+
+    @pytest.mark.parametrize("state", [TcpState.CLOSED, TcpState.TIME_WAIT])
+    def test_closed_states_ignore_segments(self, pair, state):
+        server, _ = pair
+        conn = TcpConnection(server, server.ip_raw, 80,
+                             remote_ip=ip_bytes("10.0.0.1"), remote_port=9)
+        conn.state = state
+        conn.on_segment(TcpHeader(9, 80, 0, 0, SYN | ACK), b"data")
+        assert conn.state is state
+        assert conn.recv_buffer == b"" and conn.segments_out == 0
+
+
+class TestRawAddresses:
+    def test_device_and_arp_cache_hold_raw_macs(self, pair):
+        server, client = pair
+        assert server.device.mac == mac_bytes("02:00:00:00:00:0a")
+        client.udp_send(1, "10.0.0.2", 2, b"x")
+        settle(server, client)
+        assert client.arp_table == {"10.0.0.2": server.device.mac}
+
+    def test_ip_ident_wraps_at_16_bits(self, pair):
+        server, client = pair
+        client.udp_send(1, "10.0.0.2", 2, b"resolve")
+        settle(server, client)
+        client._next_ident = 0xFFFF
+        for _ in range(2):
+            client.udp_send(1, "10.0.0.2", 2, b"x")
+        idents = [Ipv4Header.unpack(EthernetHeader.unpack(frame)[1])[0].ident
+                  for frame in list(server.device.rx_queue)]
+        assert idents == [0xFFFF, 0]
+
+
+# -- fuzzing the parsers -------------------------------------------------------
+
+#: Fixed, derandomised settings: the same examples on every run.
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                database=None)
+
+
+def checksum16_reference(data):
+    """RFC 1071, verbatim: add byte pairs, fold the carries, complement."""
+    data = bytes(data)
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+#: Every parser in ``headers``: the classes' ``unpack`` and the raw codecs.
+PARSERS = sorted(
+    [(name, value.unpack) for name, value in vars(headers).items()
+     if inspect.isclass(value) and hasattr(value, "unpack")]
+    + [(name, value) for name, value in vars(headers).items()
+       if name.startswith("unpack_")]
+)
+
+SERVER_IP = ip_bytes("10.0.0.2")
+SERVER_MAC = mac_bytes("02:00:00:00:00:0a")
+
+ports = st.integers(0, 0xFFFF)
+words = st.integers(0, 0xFFFFFFFF)
+octets = st.integers(0, 0xFF)
+raw_ips = st.binary(min_size=4, max_size=4)
+raw_macs = st.binary(min_size=6, max_size=6)
+
+
+@st.composite
+def ipv4_packets(draw, to_server=False):
+    """A checksummed IPv4 header over an arbitrary body.
+
+    With ``to_server`` the packet is well-formed and addressed to the
+    fuzzed stack (10.0.0.2), and a TCP segment targets its listener
+    (port 80) or its one connection (from 10.0.0.1:49152), so that the
+    demux and the TCP state machine see it.
+    """
+    if to_server:
+        proto = draw(st.sampled_from([PROTO_TCP, PROTO_TCP, PROTO_UDP,
+                                      PROTO_ICMP]))
+    else:
+        proto = draw(octets)
+    body = b""
+    if proto == PROTO_TCP and (to_server or draw(st.booleans())):
+        body = TcpHeader(
+            draw(st.sampled_from([49152, 49153])) if to_server
+            else draw(ports),
+            80 if to_server else draw(ports),
+            draw(words), draw(words), draw(octets), window=draw(ports),
+        ).pack()
+    body += draw(st.binary(max_size=48))
+    if to_server:
+        src, dst, total_len = ip_bytes("10.0.0.1"), SERVER_IP, 20 + len(body)
+    else:
+        src, dst, total_len = draw(raw_ips), draw(raw_ips), draw(ports)
+    return pack_ipv4(src, dst, proto, total_len, ident=draw(ports),
+                     ttl=draw(octets)) + body
+
+
+@st.composite
+def frames(draw):
+    """Frames a hostile or broken link might deliver to 10.0.0.2."""
+    kind = draw(st.sampled_from(["bytes", "arp", "ipv4", "aimed", "aimed",
+                                 "aimed"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=96))
+    if kind == "ipv4":
+        dst = draw(raw_macs)
+    else:
+        dst = draw(st.sampled_from([SERVER_MAC, MAC_BROADCAST_RAW]))
+    if kind == "arp":
+        # Half of them carry the Ethernet/IPv4 ARP preamble.
+        payload = draw(st.sampled_from([b"", b"\x00\x01\x08\x00\x06\x04"]))
+        payload += draw(st.binary(min_size=2, max_size=32))
+        return pack_ethernet(dst, draw(raw_macs), ETHERTYPE_ARP) + payload
+    return (pack_ethernet(dst, draw(raw_macs), ETHERTYPE_IPV4)
+            + draw(ipv4_packets(to_server=kind == "aimed")))
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize("name,parse", PARSERS,
+                             ids=[name for name, _ in PARSERS])
+    @FUZZ
+    @given(data=st.binary(max_size=96) | ipv4_packets())
+    def test_parse_or_raise_network_error(self, name, parse, data):
+        try:
+            parse(data)
+        except NetworkError:
+            pass
+
+    def test_every_parser_is_fuzzed(self):
+        assert [name for name, _ in PARSERS] == [
+            "ArpHeader", "EthernetHeader", "IcmpHeader", "Ipv4Header",
+            "TcpHeader", "UdpHeader", "unpack_ethernet", "unpack_ipv4",
+        ]
+
+    @FUZZ
+    @given(frame_list=st.lists(frames(), min_size=1, max_size=6))
+    def test_pump_parses_drops_or_raises_network_error(self, frame_list):
+        costs = CostModel.xeon_4114()
+        clock = Clock()
+        link = LinkedDevices(costs)
+        server = NetworkStack(link.a, "10.0.0.2", costs, clock)
+        client = NetworkStack(link.b, "10.0.0.1", costs, clock)
+        listener = server.tcp_listen(80)
+        client.tcp_connect("10.0.0.2", 80)
+        settle(server, client)
+        assert server.tcp_accept(listener) is not None
+        for frame in frame_list:
+            before = server.frames_in
+            server.device.rx_queue.append(frame)
+            try:
+                assert server.pump() == 1
+            except NetworkError:
+                pass
+            assert server.frames_in == before + 1
+            assert not server.device.rx_queue
+
+    @FUZZ
+    @given(data=st.binary(max_size=64),
+           form=st.sampled_from(["bytes", "bytearray", "slice"]))
+    @example(data=b"\xff\xff", form="bytes")
+    @example(data=b"\x00\x00\x00", form="bytes")
+    @example(data=b"", form="bytes")
+    def test_checksum_matches_rfc1071_reference(self, data, form):
+        if form == "bytearray":
+            data = bytearray(data)
+        elif form == "slice":
+            data = (b"\x5a" + data)[1:]
+        assert checksum16(data) == checksum16_reference(data)
+        assert checksum16(data[1:]) == checksum16_reference(data[1:])
+
+    @FUZZ
+    @given(src=raw_ips, dst=raw_ips, proto=octets, total_len=ports,
+           ident=ports, ttl=octets, bit=st.integers(0, 159))
+    def test_single_bit_flip_in_ipv4_header_rejected(
+            self, src, dst, proto, total_len, ident, ttl, bit):
+        packed = bytearray(pack_ipv4(src, dst, proto, total_len,
+                                     ident=ident, ttl=ttl))
+        assert unpack_ipv4(bytes(packed))[:6] == (
+            src, dst, proto, total_len, ident, ttl)
+        packed[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(NetworkError):
+            unpack_ipv4(bytes(packed))
