@@ -4,9 +4,8 @@ This package stands in for the Xeon 4114 testbed of the paper: a virtual
 cycle clock (:mod:`repro.hw.clock`), a calibrated cost model
 (:mod:`repro.hw.costs`), page-granular memory with MPK protection keys
 (:mod:`repro.hw.memory`, :mod:`repro.hw.mpk`, :mod:`repro.hw.mmu`),
-EPT-style disjoint address spaces (:mod:`repro.hw.ept`), a software
-permission TLB fronting the MMU (:mod:`repro.hw.tlb`), and the execution
-context that ties them together (:mod:`repro.hw.cpu`).
+EPT-style disjoint address spaces (:mod:`repro.hw.ept`), and the
+execution context that ties them together (:mod:`repro.hw.cpu`).
 """
 
 from repro.hw.clock import Clock
@@ -16,7 +15,6 @@ from repro.hw.ept import AddressSpace
 from repro.hw.memory import AccessType, MemoryObject, PhysicalMemory, Region
 from repro.hw.mmu import MMU
 from repro.hw.mpk import PKRU, PkeyAllocator
-from repro.hw.tlb import PermissionTLB, bump_epoch
 
 __all__ = [
     "AccessType",
@@ -27,11 +25,9 @@ __all__ = [
     "MMU",
     "MemoryObject",
     "PKRU",
-    "PermissionTLB",
     "PhysicalMemory",
     "PkeyAllocator",
     "Region",
-    "bump_epoch",
     "current_context",
     "use_context",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.errors import ReproError
-from repro.hw.tlb import PermissionTLB, default_enabled
 
 _CURRENT = None
 
@@ -85,11 +84,8 @@ class ExecutionContext:
         self.compartment = compartment
         self.pkru = pkru
         self.address_space = address_space
-        #: Per-context permission TLB consulted by ``MMU.check``; None
-        #: (the ``FLEXOS_TLB=off`` kill switch) forces every check down
-        #: the slow path.  Purely a wall-clock optimisation — see
-        #: :mod:`repro.hw.tlb`.
-        self.tlb = PermissionTLB() if default_enabled() else None
+        #: Always None: ``benchmarks/suite`` reads it until ROADMAP item 3 drops the read.
+        self.tlb = None
         #: Library whose code is executing, None outside any entry
         #: point; every routed call restores it on return and on raise.
         self.current_library = None

@@ -9,7 +9,6 @@ every participating VM (so pointers into shared structures stay valid).
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.hw.tlb import bump_epoch, next_asid
 from repro.obs import tracer as obs
 
 
@@ -34,20 +33,14 @@ class AddressSpace:
 
     def __init__(self, name):
         self.name = name
-        #: Stable identifier used in permission-TLB tags; a monotonic
-        #: counter, never ``id()``, so a GC-recycled address can't
-        #: revalidate another space's cached verdicts.
-        self.asid = next_asid()
         self._mapped = set()  # region identity
 
     def map(self, region):
         """Make ``region`` visible in this address space."""
         self._mapped.add(id(region))
-        bump_epoch()
 
     def unmap(self, region):
         self._mapped.discard(id(region))
-        bump_epoch()
 
     def is_mapped(self, region):
         return id(region) in self._mapped

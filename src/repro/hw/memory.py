@@ -16,7 +16,6 @@ import enum
 
 from repro.errors import AllocationError, ConfigError
 from repro.hw.mpk import DEFAULT_PKEY
-from repro.hw.tlb import bump_epoch
 
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
@@ -54,6 +53,7 @@ class Region:
         base: start address (page aligned).
         size: length in bytes (page aligned).
         perm: page permissions.
+        perm_bits: ``perm`` as a plain integer, the bits the MMU tests.
         pkey: MPK protection key stamped in the PTEs.
         compartment: id of the owning compartment (None for TCB/global).
         kind: one of ``data|rodata|bss|text|heap|stack|dss|shared|mmio``.
@@ -64,6 +64,7 @@ class Region:
         "base",
         "size",
         "perm",
+        "perm_bits",
         "pkey",
         "compartment",
         "kind",
@@ -80,6 +81,7 @@ class Region:
         self.base = base
         self.size = size
         self.perm = perm
+        self.perm_bits = perm.value
         self.pkey = pkey
         self.compartment = compartment
         self.kind = kind
@@ -99,14 +101,8 @@ class Region:
         return self._bytes
 
     def set_pkey(self, pkey):
-        """Re-stamp the region's protection key (boot-time protection).
-
-        Bumps the global protection epoch: a re-stamp changes what every
-        cached permission-TLB verdict for this region means, exactly like
-        a PTE rewrite forces a TLB shootdown on real hardware.
-        """
+        """Re-stamp the region's protection key (boot-time protection)."""
         self.pkey = pkey
-        bump_epoch()
 
     def __repr__(self):
         return "Region(%s @0x%x +0x%x pkey=%d comp=%s %s)" % (

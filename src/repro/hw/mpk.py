@@ -29,19 +29,12 @@ class PKRU:
     """
 
     def __init__(self, allowed=(DEFAULT_PKEY,)):
-        self._access_disable = (1 << NUM_PKEYS) - 1
-        self._write_disable = (1 << NUM_PKEYS) - 1
-        #: Both masks packed into one integer — the register value a real
-        #: ``rdpkru`` would return.  The permission TLB tags cached
-        #: verdicts with this word, so any register write (including a
-        #: gate restore on the way back) revalidates or invalidates them
-        #: without a flush, exactly like hardware ``wrpkru``.
-        self.word = self._pack()
+        #: Bit ``k`` set: key ``k`` is neither readable nor writable.
+        self.access_disable = (1 << NUM_PKEYS) - 1
+        #: Bit ``k`` set: key ``k`` is not writable.
+        self.write_disable = (1 << NUM_PKEYS) - 1
         for key in allowed:
             self.allow(key)
-
-    def _pack(self):
-        return (self._access_disable << NUM_PKEYS) | self._write_disable
 
     @staticmethod
     def _check_key(key):
@@ -51,12 +44,11 @@ class PKRU:
     def allow(self, key, write=True):
         """Grant access (and optionally write) rights for ``key``."""
         self._check_key(key)
-        self._access_disable &= ~(1 << key)
+        self.access_disable &= ~(1 << key)
         if write:
-            self._write_disable &= ~(1 << key)
+            self.write_disable &= ~(1 << key)
         else:
-            self._write_disable |= 1 << key
-        self.word = self._pack()
+            self.write_disable |= 1 << key
         tracer = obs.ACTIVE
         if tracer.enabled:
             tracer.pkru_write("allow", key)
@@ -64,28 +56,26 @@ class PKRU:
     def deny(self, key):
         """Revoke all rights for ``key``."""
         self._check_key(key)
-        self._access_disable |= 1 << key
-        self._write_disable |= 1 << key
-        self.word = self._pack()
+        self.access_disable |= 1 << key
+        self.write_disable |= 1 << key
         tracer = obs.ACTIVE
         if tracer.enabled:
             tracer.pkru_write("deny", key)
 
     def can_read(self, key):
         self._check_key(key)
-        return not (self._access_disable >> key) & 1
+        return not (self.access_disable >> key) & 1
 
     def can_write(self, key):
         self._check_key(key)
-        return self.can_read(key) and not (self._write_disable >> key) & 1
+        return self.can_read(key) and not (self.write_disable >> key) & 1
 
     def snapshot(self):
         """Return an opaque value restorable with :meth:`restore`."""
-        return (self._access_disable, self._write_disable)
+        return (self.access_disable, self.write_disable)
 
     def restore(self, snap):
-        self._access_disable, self._write_disable = snap
-        self.word = self._pack()
+        self.access_disable, self.write_disable = snap
         tracer = obs.ACTIVE
         if tracer.enabled:
             tracer.pkru_write("restore", None)
@@ -98,9 +88,8 @@ class PKRU:
         switch collapsed into the single ``wrpkru`` the real hardware
         executes, so it records exactly one ``transition`` write.
         """
-        self._access_disable = (self._access_disable | deny_mask) & ~allow_mask
-        self._write_disable = (self._write_disable | deny_mask) & ~allow_mask
-        self.word = self._pack()
+        self.access_disable = (self.access_disable | deny_mask) & ~allow_mask
+        self.write_disable = (self.write_disable | deny_mask) & ~allow_mask
         tracer = obs.ACTIVE
         if tracer.enabled:
             tracer.pkru_write("transition", None)

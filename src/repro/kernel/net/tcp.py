@@ -227,7 +227,16 @@ class TcpConnection:
                 self._accept_data(header, payload)
 
     def _take_ack(self, header):
+        """Process the segment's ACK; False means drop the segment.
+
+        An ACK for data never sent (beyond ``snd_nxt``) is answered with
+        an ACK and the segment is dropped (RFC 793, SEGMENT ARRIVES), so
+        no peer can move ``snd_una`` past ``snd_nxt`` and open the window.
+        """
         if header.flags & ACK:
+            if header.ack > self.snd_nxt:
+                self._emit(ACK)
+                return False
             self.snd_wnd = header.window
             if header.ack > self.snd_una:
                 self.snd_una = header.ack
@@ -237,6 +246,7 @@ class TcpConnection:
                 ]
             # The window may have opened: drain what now fits.
             self._flush_backlog()
+        return True
 
     def _accept_data(self, header, payload):
         if payload:
@@ -256,7 +266,8 @@ class TcpConnection:
                 self._emit(ACK)  # retransmission of old data
 
     def _seg_established(self, header, payload):
-        self._take_ack(header)
+        if not self._take_ack(header):
+            return
         self._accept_data(header, payload)
         if header.flags & FIN and header.seq == self.rcv_nxt:
             self.rcv_nxt += 1
@@ -265,7 +276,8 @@ class TcpConnection:
             self._emit(ACK)
 
     def _seg_fin_wait_1(self, header, payload):
-        self._take_ack(header)
+        if not self._take_ack(header):
+            return
         self._accept_data(header, payload)
         acked = self.snd_una == self.snd_nxt
         if header.flags & FIN and header.seq == self.rcv_nxt:
@@ -288,7 +300,8 @@ class TcpConnection:
         self._take_ack(header)
 
     def _seg_last_ack(self, header, payload):
-        self._take_ack(header)
+        if not self._take_ack(header):
+            return
         if self.snd_una == self.snd_nxt:
             self.state = TcpState.CLOSED
 

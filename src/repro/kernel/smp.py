@@ -31,20 +31,14 @@ the verified reference (its invariants mirror the paper's Dafny model);
 this class only overrides the dispatch loop, inheriting thread
 lifecycle, wake-up bookkeeping, hooks, and invariant checks.
 
-Isolation state: the permission TLB is per-core.  Core 0 adopts the
-execution context's existing TLB (preserving N=1 identity); other cores
-get their own, cold, :class:`~repro.hw.tlb.PermissionTLB`, and the
-context's TLB pointer is switched on every dispatch, modelling per-CPU
-translation state.  The PKRU itself stays shared: run-to-yield slices
-begin and end at the base protection state (gates restore PKRU on
-unwind), so cores never observe each other's mid-gate register state.
+Isolation state: the PKRU stays shared.  Run-to-yield slices begin and
+end at the base protection state (gates restore PKRU on unwind), so
+cores never observe each other's mid-gate register state.
 """
 
 from __future__ import annotations
 
 from repro.errors import SchedulerError
-from repro.hw.cpu import maybe_current_context
-from repro.hw.tlb import PermissionTLB
 from repro.kernel.sched import Scheduler
 from repro.kernel.thread import ThreadState
 from repro.obs import tracer as obs
@@ -54,7 +48,7 @@ class VirtualCore:
     """One virtual CPU: a position on the timeline plus bookkeeping."""
 
     __slots__ = ("index", "cycles", "busy_cycles", "idle_cycles",
-                 "dispatches", "tlb", "_tlb_ready")
+                 "dispatches", "tlb")
 
     def __init__(self, index):
         self.index = index
@@ -62,8 +56,8 @@ class VirtualCore:
         self.busy_cycles = 0.0
         self.idle_cycles = 0.0
         self.dispatches = 0
+        #: Always None: ``benchmarks/suite`` reads it until ROADMAP item 3 drops the read.
         self.tlb = None
-        self._tlb_ready = False
 
     def stats(self):
         return {
@@ -89,21 +83,6 @@ class SmpScheduler(Scheduler):
         super().__init__(clock, costs)
         self.cores = [VirtualCore(i) for i in range(n_cores)]
         self.n_cores = n_cores
-
-    # -- per-core isolation state -----------------------------------------------
-    def _install_core_tlb(self, ctx, core):
-        """Point the execution context at this core's permission TLB."""
-        if not core._tlb_ready:
-            core._tlb_ready = True
-            if core.index == 0 or ctx.tlb is None:
-                # Core 0 adopts the boot TLB so a single-core run touches
-                # exactly the same object graph as the serial scheduler;
-                # when the kill switch disabled the TLB, every core runs
-                # without one.
-                core.tlb = ctx.tlb
-            else:
-                core.tlb = PermissionTLB()
-        ctx.tlb = core.tlb
 
     # -- the dispatch loop -------------------------------------------------------
     def run(self, max_switches=1_000_000):
@@ -159,9 +138,6 @@ class SmpScheduler(Scheduler):
                 core.idle_cycles += start - core.cycles
                 core.cycles = start
                 self.clock.warp_to(start)
-            ctx = maybe_current_context()
-            if ctx is not None:
-                self._install_core_tlb(ctx, core)
             if tracer.enabled:
                 tracer.core_dispatch(core.index, len(self._run_queue),
                                      thread=thread)

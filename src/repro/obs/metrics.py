@@ -168,8 +168,6 @@ class MetricsRegistry:
         self.explore_evaluated = 0
         self.explore_cache_hits = 0
         self.explore_pruned = 0
-        #: Permission-TLB events ("hit"/"miss"/"flush").
-        self.tlb = {"hit": 0, "miss": 0, "flush": 0}
         #: Live reconfiguration: action -> occurrences.
         self.reconfig = {}
         self.reconfig_blackout = Histogram(RECONFIG_BLACKOUT_BUCKETS)
@@ -182,7 +180,6 @@ class MetricsRegistry:
         self._supervision_series = _SeriesNames("supervision.%s")
         self._alloc_series = _SeriesNames("alloc.%s")
         self._net_series = _SeriesNames("net.%s")
-        self._tlb_series = _SeriesNames("tlb.%s")
         self._reconfig_series = _SeriesNames("reconfig.%s")
         self._dispatch_series = _SeriesNames("sched.dispatches.core-%d")
 
@@ -275,11 +272,6 @@ class MetricsRegistry:
         self.explore_cache_hits += cache_hits
         self.explore_pruned += pruned
 
-    def record_tlb(self, op):
-        self.tlb[op] = self.tlb.get(op, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump(self._tlb_series[op])
-
     def record_reconfig(self, action):
         self.reconfig[action] = self.reconfig.get(action, 0) + 1
         if self.timeseries is not None:
@@ -310,10 +302,10 @@ class MetricsRegistry:
     def snapshot(self):
         """A JSON-serialisable snapshot of every aggregate.
 
-        The ``explore``, ``tlb``, ``reconfig`` and ``sched`` sections
-        appear only when those subsystems ran under this registry, so
-        snapshots of runs that never touch them (the functional
-        perf-gate baselines predate all four) keep their exact shape.
+        The ``explore``, ``reconfig`` and ``sched`` sections appear only
+        when those subsystems ran under this registry, so snapshots of
+        runs that never touch them (the functional perf-gate baselines
+        predate all three) keep their exact shape.
         The ``sched`` section and the ``runqueue_depth`` histogram are
         emitted only by the SMP scheduler; serial runs never record a
         core dispatch.
@@ -327,8 +319,6 @@ class MetricsRegistry:
                 "cache_hits": self.explore_cache_hits,
                 "pruned": self.explore_pruned,
             }
-        if any(self.tlb.values()):
-            explore["tlb"] = dict(sorted(self.tlb.items()))
         if self.reconfig or self.reconfig_blackout.total:
             explore["reconfig"] = dict(
                 sorted(self.reconfig.items()),

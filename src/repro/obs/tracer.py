@@ -43,7 +43,6 @@ CATEGORIES = (
     "irq",          # one interrupt delivery
     "fs",           # one VFS/ramfs operation
     "explore",      # one exploration-engine wave scheduled
-    "tlb",          # one permission-TLB hit, miss, or flush
     "reconfig",     # one live-reconfiguration phase or step
 )
 
@@ -349,22 +348,12 @@ class Tracer:
         self.metrics.record_explore_wave(scheduled, evaluated, cache_hits,
                                          pruned)
 
-    def tlb_op(self, op):
-        """One permission-TLB event (``hit``/``miss``/``flush``).
-
-        Counter-only by default: hits happen on every hot-path access, so
-        recording an event object per hit would swamp the stream and the
-        exporters.  The aggregate lands in the metrics snapshot's ``tlb``
-        section (which appears only when the TLB actually ran).
-        """
-        self.metrics.record_tlb(op)
-
     def core_dispatch(self, core, depth, thread=None):
         """One SMP dispatch on ``core`` with ``depth`` threads left queued.
 
-        Counter-only, like :meth:`tlb_op`: the SMP scheduler fires this
-        on every slice, so recording an event object each time would
-        swamp the stream under load.  The aggregate lands in the metrics
+        Counter-only: the SMP scheduler fires this on every slice, so
+        recording an event object each time would swamp the stream under
+        load.  The aggregate lands in the metrics
         snapshot's ``sched`` section and ``runqueue_depth`` histogram
         (which appear only when the SMP scheduler actually ran).  As a
         side effect the slice's core is remembered, so every event

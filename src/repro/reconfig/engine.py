@@ -12,9 +12,9 @@ to a *running* instance under an explicit state machine::
                scheduler); the engine spins on ``ctx.gate_depth`` until
                it reaches zero or the drain timeout expires.
     COMMIT   — apply the plan's steps in order: re-key regions through
-               :meth:`Region.set_pkey` (which bumps the TLB epoch, so
-               stale translations and cached gate transition masks die),
-               move allocators, then atomically swap the instance's
+               :meth:`Region.set_pkey` (cached gate transition masks
+               are keyed on the pkeys, so they recompute), move
+               allocators, then atomically swap the instance's
                config, compartment identities, gates and execution
                context to the target layout.
     RESUME   — re-admit traffic and record the blackout window.
@@ -35,7 +35,6 @@ from repro.errors import MigrationFault, ReconfigError, ReproError
 from repro.hw.ept import AddressSpace, SharedWindow
 from repro.hw.memory import Perm
 from repro.hw.mpk import PKRU
-from repro.hw.tlb import bump_epoch
 from repro.kernel.allocators import make_allocator
 from repro.obs import tracer as obs
 from repro.reconfig.plan import ReconfigurationPlan
@@ -150,9 +149,6 @@ class _LayoutSnapshot:
         instance.memmgr._heap_kinds.clear()
         instance.memmgr._heap_kinds.update(self.heap_kinds)
         instance.memmgr._shared_pkey = self.memmgr_shared_pkey
-        # Any translation or cached transition mask minted against the
-        # half-applied layout must die with it.
-        bump_epoch()
 
 
 def layout_fingerprint(instance, abandoned=(), include_regions=True):
@@ -306,8 +302,6 @@ class ReconfigurationEngine:
         for step in plan.steps:
             self._checkpoint("commit", step.target)
             if step.kind == "rekey-region":
-                # set_pkey bumps the global epoch: stale TLB entries
-                # and cached MPK transition masks self-invalidate.
                 step.region.set_pkey(step.new_pkey)
                 ctx.clock.charge(ctx.costs.pkey_mprotect)
             elif step.kind == "allocator-move":
@@ -369,7 +363,6 @@ class ReconfigurationEngine:
         instance.memmgr._shared_pkey = instance.shared_pkey
         if plan.mechanism_change or plan.gate_swap:
             instance.backend = backend
-        bump_epoch()
         return steps_applied
 
     # -- entry point ---------------------------------------------------

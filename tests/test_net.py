@@ -283,6 +283,33 @@ class TestTeardown:
             client.tcp_send(conn, b"late")
 
 
+class TestHostileAcks:
+    def test_ack_beyond_snd_nxt_is_dropped_and_reacked(self, pair):
+        server, client = pair
+        listener = server.tcp_listen(80)
+        conn = client.tcp_connect("10.0.0.2", 80)
+        settle(server, client)
+        accepted = server.tcp_accept(listener)
+        snd_una, segments_out = accepted.snd_una, accepted.segments_out
+        hostile = TcpHeader(conn.local_port, 80, conn.snd_nxt,
+                            accepted.snd_nxt + 10**6, ACK, window=0xFFFF)
+        body = hostile.pack()
+        server.device.rx_queue.append(
+            pack_ethernet(server.device.mac, client.device.mac,
+                          ETHERTYPE_IPV4)
+            + pack_ipv4(client.ip_raw, server.ip_raw, PROTO_TCP,
+                        20 + len(body))
+            + body)
+        assert server.pump() == 1
+        assert accepted.snd_una == snd_una
+        assert accepted._bytes_in_flight() >= 0
+        assert accepted.segments_out == segments_out + 1
+        [frame] = client.device.rx_queue
+        reply, _ = TcpHeader.unpack(
+            unpack_ipv4(EthernetHeader.unpack(frame)[1])[6])
+        assert reply.flags == ACK and reply.ack == accepted.rcv_nxt
+
+
 class TestSocketsAndUdp:
     def test_socket_facade(self, pair):
         server, client = pair

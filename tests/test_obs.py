@@ -252,17 +252,17 @@ class TestInstantHooks:
 
 
 def _record_pkru_words(monkeypatch):
-    """Log ``(op, word)`` after every gate transition and restore."""
+    """Log ``(op, register masks)`` after every gate transition and restore."""
     log = []
     transition, restore = PKRU.apply_transition, PKRU.restore
 
     def logged_transition(self, deny_mask, allow_mask):
         transition(self, deny_mask, allow_mask)
-        log.append(("transition", self.word))
+        log.append(("transition", self.snapshot()))
 
     def logged_restore(self, snap):
         restore(self, snap)
-        log.append(("restore", self.word))
+        log.append(("restore", self.snapshot()))
 
     monkeypatch.setattr(PKRU, "apply_transition", logged_transition)
     monkeypatch.setattr(PKRU, "restore", logged_restore)
