@@ -3,13 +3,13 @@
 Not a paper figure — the observability experiment on top of the FlexOS
 reproduction.  Serves Redis over the real TCP stack on the SMP
 scheduler while a :class:`~repro.obs.TelemetryHub` ingests the run:
-windowed counters, one request span per injected request (claimed by
-the serving thread, decomposed into queueing / gate-crossing / app
-cycles), SLO burn rates, and slow-request exemplars.
+one request span per injected request (claimed by the serving thread,
+decomposed into queueing / gate-crossing / app cycles and windowed by
+completion time), SLO burn rates, and slow-request exemplars.
 
 The trajectory point records the full hub snapshot per isolation
-config plus the ``evaluator_input`` contract the ROADMAP's future
-``live`` explorer evaluator consumes — pinning both the numbers and
+config plus the ``evaluator_input`` contract the ``live`` explorer
+evaluator and the autotune loop consume — pinning both the numbers and
 the shape.  Everything derives from the virtual clock and the seeded
 arrival schedule, so the point is rerun-byte-identical and safe for
 the ``obs check`` perf gate; the benchmark itself asserts that by

@@ -225,9 +225,8 @@ def _tracer_scope(trace, tracer, clock, hub=None):
         if tracer is None:
             tracer = hub.tracer(keep_events=trace)
         else:
-            # Caller brought a tracer; wire it into the hub so spans and
-            # windowed counters still flow.
-            tracer.metrics = hub.metrics
+            # Caller brought a tracer; it keeps its registry, and the
+            # hub's span tracker drives the windows.
             tracer.spans = hub.spans
     if tracer is None and trace:
         tracer = Tracer(clock=clock, keep_events=False)
@@ -580,9 +579,9 @@ def run_load(app, mechanism, rate_rps=None, n_requests=96, seed=1,
         trace: record obs metrics (``sched.core.*``, queue depths) for
             the run; the tracer rides on :attr:`LoadResult.tracer`.
         hub: a :class:`~repro.obs.TelemetryHub` to feed during the run —
-            windowed counters, a request span per injected request
-            (claimed/completed by the harness, decomposed into
-            queue/gate/app cycles), SLO burn rates, slow-request
+            a request span per injected request (claimed/completed by
+            the harness, decomposed into queue/gate/app cycles and
+            windowed by completion time), SLO burn rates, slow-request
             exemplars.  The hub's clock is bound to the instance clock
             at boot; read it back through ``hub.snapshot()`` /
             ``hub.tail_report()`` after the run.

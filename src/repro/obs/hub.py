@@ -1,32 +1,35 @@
 """The telemetry hub: one read API over the streaming observability.
 
 :class:`TelemetryHub` composes the streaming half of ``repro.obs`` —
-windowed counters (:mod:`repro.obs.timeseries`), request spans
+windowed request series (:mod:`repro.obs.timeseries`), request spans
 (:mod:`repro.obs.spans`), SLO burn rates and slow-request exemplars
 (:mod:`repro.obs.slo`) — behind one object the load harness feeds and a
 policy loop reads:
 
-* :meth:`tracer` hands out a :class:`~repro.obs.Tracer` whose metrics
-  registry tees every counter into the windowed telemetry and whose
-  span hooks drive the tracker; install it for the run
-  (``run_load(..., hub=hub)`` does this).
+* :meth:`tracer` hands out a :class:`~repro.obs.Tracer` whose span
+  hooks drive the tracker; install it for the run
+  (``run_load(..., hub=hub)`` does this).  The tracer keeps its own
+  metrics registry for the whole-run counters; the hub's windows hold
+  only what span completions write (see :meth:`_on_span_complete`).
 * :meth:`snapshot` is the deterministic, JSON-serialisable state dump —
   rerun-byte-identical for a seeded workload, which ``BENCH_tail.json``
   and the ``tail-smoke`` CI job pin.
-* :meth:`evaluator_input` is the read shape for the ROADMAP's future
-  ``live`` explorer evaluator: per-window arrival/latency/burn series
-  plus the aggregate latency decomposition, i.e. *why* the tail is
-  where it is (queueing vs. gate crossings vs. app work), which is the
-  signal that picks between isolation layouts at run time.
+* :meth:`evaluator_input` is what the ``live`` explorer evaluator
+  (:class:`~repro.explore.evaluators.LiveEvaluator`) and the autotune policy
+  loop (:class:`~repro.autotune.loop.AutotuneLoop`) rank layouts by:
+  per-window completion/latency/burn series plus the aggregate latency
+  decomposition, i.e. *why* the tail is where it is (queueing vs. gate
+  crossings vs. app work).
 
 The hub never charges the virtual clock (tracer rules) and binds the
 instance clock late (:meth:`bind_clock`), because the clock exists only
-after the instance under test boots.
+after the instance under test boots.  Every windowed sample carries the
+completion timestamp stamped on its span, so the windows themselves
+need no clock.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEvaluator, SlowSampler
 from repro.obs.spans import SpanTracker
 from repro.obs.timeseries import (
@@ -48,10 +51,8 @@ class TelemetryHub:
                  slow_threshold_cycles=None, sampler_capacity=16,
                  clock=None):
         self.clock = clock
-        self.timeseries = WindowedTelemetry(
-            clock=clock, window_cycles=window_cycles, ring=ring,
-        )
-        self.metrics = MetricsRegistry(timeseries=self.timeseries)
+        self.timeseries = WindowedTelemetry(window_cycles=window_cycles,
+                                            ring=ring)
         self.spans = SpanTracker(clock=clock)
         self.spans.on_complete = self._on_span_complete
         # SLO windows are the telemetry windows: evaluator_input() reads
@@ -73,13 +74,11 @@ class TelemetryHub:
     def bind_clock(self, clock):
         """Attach the instance clock (call after boot, before traffic)."""
         self.clock = clock
-        self.timeseries.bind_clock(clock)
         self.spans.bind_clock(clock)
 
     def tracer(self, keep_events=False):
         """A tracer wired into this hub; install it for the run."""
-        tracer = Tracer(clock=self.clock, metrics=self.metrics,
-                        keep_events=keep_events)
+        tracer = Tracer(clock=self.clock, keep_events=keep_events)
         tracer.spans = self.spans
         return tracer
 
@@ -124,12 +123,13 @@ class TelemetryHub:
         }
 
     def evaluator_input(self):
-        """The windowed series a ``live`` explorer evaluator consumes.
+        """The windowed series :class:`~repro.explore.evaluators.LiveEvaluator`
+        and :class:`~repro.autotune.loop.AutotuneLoop` rank layouts by.
 
         One row per retained telemetry window: request count, latency
         stats, the decomposition counters, and each SLO's burn in that
-        window — plus run-level aggregates.  This is the contract the
-        ROADMAP's online re-exploration policy loop ranks layouts by.
+        window — plus run-level aggregates.  Windows exist only where a
+        request completed, so every row has ``requests > 0``.
         """
         rows = []
         for window in self.timeseries.windows():
@@ -169,11 +169,6 @@ class TelemetryHub:
         }
 
     # -- rendering ---------------------------------------------------------------
-    def _us(self, cycles):
-        if self.clock is None:
-            return None
-        return self.clock.cycles_to_ns(cycles) / 1e3
-
     def tail_report(self, headline=None, max_windows=12, max_samples=3):
         """Human-readable tail report (the ``obs tail`` CLI output)."""
         lines = []

@@ -44,24 +44,6 @@ RUNQUEUE_DEPTH_BUCKETS = (
 )
 
 
-class _SeriesNames(dict):
-    """Windowed-series names of one family, formatted once per suffix.
-
-    ``names[op]`` is ``fmt % op``; the recording hooks look names up
-    here instead of formatting a string on every sample.
-    """
-
-    __slots__ = ("fmt",)
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, suffix):
-        name = self[suffix] = self.fmt % suffix
-        return name
-
-
 class Histogram:
     """A fixed-bucket histogram with an overflow bucket.
 
@@ -116,20 +98,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters and histograms aggregated from the trace stream.
+    """Counters and histograms aggregated from the trace stream."""
 
-    Args:
-        timeseries: optional
-            :class:`~repro.obs.timeseries.WindowedTelemetry` every
-            recording hook tees into, so the same stream that feeds the
-            whole-run aggregates also feeds the windowed flight
-            recorder.  The aggregate :meth:`snapshot` shape is
-            unaffected (the perf-gate baselines stay byte-identical);
-            windowed state is read through the telemetry object itself.
-    """
-
-    def __init__(self, timeseries=None):
-        self.timeseries = timeseries
+    def __init__(self):
         #: (src_name, dst_name, gate_kind) -> crossings.
         self.gate_crossings = {}
         #: (src_name, dst_name) -> latency Histogram (virtual cycles).
@@ -176,12 +147,6 @@ class MetricsRegistry:
         #: SMP scheduler: core index -> dispatches on that core.
         self.core_dispatches = {}
         self.runqueue_depth = Histogram(RUNQUEUE_DEPTH_BUCKETS)
-        #: Windowed-series names the tee below formats once per suffix.
-        self._supervision_series = _SeriesNames("supervision.%s")
-        self._alloc_series = _SeriesNames("alloc.%s")
-        self._net_series = _SeriesNames("net.%s")
-        self._reconfig_series = _SeriesNames("reconfig.%s")
-        self._dispatch_series = _SeriesNames("sched.dispatches.core-%d")
 
     # -- recording hooks (called by the Tracer) --------------------------------
     def record_gate(self, src, dst, src_comp, dst_comp, kind, library,
@@ -199,24 +164,15 @@ class MetricsRegistry:
                 GATE_LATENCY_BUCKETS,
             )
         histogram.observe(duration)
-        if self.timeseries is not None:
-            self.timeseries.bump("gate.crossings")
-            self.timeseries.bump("gate.cycles", duration)
 
-    def record_pkru_write(self, op):
+    def record_pkru_write(self):
         self.pkru_writes += 1
-        if self.timeseries is not None:
-            self.timeseries.bump("pkru.writes")
 
     def record_fault(self, fault_type):
         self.faults[fault_type] = self.faults.get(fault_type, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump("faults")
 
     def record_supervision(self, action):
         self.supervision[action] = self.supervision.get(action, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump(self._supervision_series[action])
 
     def record_alloc(self, op, region, size, fast):
         if op == "alloc":
@@ -228,42 +184,28 @@ class MetricsRegistry:
         else:
             self.frees += 1
         self.alloc_by_region[region] = self.alloc_by_region.get(region, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump(self._alloc_series[op])
 
     def record_context_switch(self):
         self.context_switches += 1
-        if self.timeseries is not None:
-            self.timeseries.bump("sched.switches")
 
     def record_tcp_segment(self, direction):
         self.tcp_segments[direction] = self.tcp_segments.get(direction, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump(self._net_series[direction])
 
     def record_space_switch(self):
         self.space_switches += 1
-        if self.timeseries is not None:
-            self.timeseries.bump("ept.space_switches")
 
     def record_window_alloc(self, nbytes, wrapped):
         self.window_allocs += 1
         self.window_bytes += nbytes
         if wrapped:
             self.window_wraps += 1
-        if self.timeseries is not None:
-            self.timeseries.bump("ept.window_allocs")
 
     def record_irq(self, line):
         self.irqs[line] = self.irqs.get(line, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump("irqs")
 
     def record_fs_op(self, layer, op):
         key = "%s.%s" % (layer, op)
         self.fs_ops[key] = self.fs_ops.get(key, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump("fs.ops")
 
     def record_explore_wave(self, scheduled, evaluated, cache_hits, pruned):
         self.explore_waves += 1
@@ -274,8 +216,6 @@ class MetricsRegistry:
 
     def record_reconfig(self, action):
         self.reconfig[action] = self.reconfig.get(action, 0) + 1
-        if self.timeseries is not None:
-            self.timeseries.bump(self._reconfig_series[action])
 
     def record_reconfig_blackout(self, cycles, queued):
         self.reconfig_blackout.observe(cycles)
@@ -284,9 +224,6 @@ class MetricsRegistry:
     def record_core_dispatch(self, core, depth):
         self.core_dispatches[core] = self.core_dispatches.get(core, 0) + 1
         self.runqueue_depth.observe(depth)
-        if self.timeseries is not None:
-            self.timeseries.bump(self._dispatch_series[core])
-            self.timeseries.bump("sched.runqueue_depth", depth)
 
     # -- derived views ----------------------------------------------------------
     def total_crossings(self):

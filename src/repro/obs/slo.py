@@ -24,6 +24,7 @@ reads only the virtual clock values already stamped on the span.
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.errors import ReproError
 from repro.obs.timeseries import DEFAULT_WINDOW_CYCLES
@@ -38,9 +39,10 @@ class SloTarget:
         if not 0.0 < objective < 1.0:
             raise ReproError(
                 "SLO objective must be in (0, 1): %r" % objective)
-        if threshold_cycles <= 0:
+        if not (math.isfinite(threshold_cycles) and threshold_cycles > 0):
             raise ReproError(
-                "SLO threshold must be positive: %r" % threshold_cycles)
+                "SLO threshold must be finite and positive: %r"
+                % threshold_cycles)
         self.name = name
         self.threshold_cycles = float(threshold_cycles)
         self.objective = objective
@@ -158,9 +160,13 @@ class SlowSampler:
         self.admitted = 0
 
     def offer(self, span):
-        """Consider one completed span; keep it if slow enough."""
+        """Consider one completed span; keep it if above the threshold.
+
+        A span exactly at the threshold is not admitted, matching
+        :meth:`SloEvaluator.record`, which counts it as good.
+        """
         self.offered += 1
-        if span.latency_cycles < self.threshold_cycles:
+        if span.latency_cycles <= self.threshold_cycles:
             return False
         key = (-span.latency_cycles, span.span_id)
         if len(self._spans) >= self.capacity and key >= self._keys[-1]:

@@ -3,9 +3,11 @@
 The :class:`~repro.obs.metrics.MetricsRegistry` answers "what did the
 whole run cost?"; this module answers "what was happening *around cycle
 T*?" — the question a tail-latency explorer or an online re-exploration
-policy has to ask.  :class:`WindowedTelemetry` buckets every counter the
-registry sees (plus request latencies) into fixed-width virtual-clock
-windows and keeps a bounded **flight recorder** of the most recent ones.
+policy has to ask.  :class:`WindowedTelemetry` buckets the per-request
+latency decomposition that span completions write (see
+:meth:`~repro.obs.hub.TelemetryHub._on_span_complete`) into fixed-width
+virtual-clock windows and keeps a bounded **flight recorder** of the
+most recent ones.  Whole-run counters live only in the registry.
 
 Design constraints, in order:
 
@@ -22,18 +24,17 @@ Design constraints, in order:
 * **Bounded.**  At most ``ring`` windows are retained; the lowest index
   is evicted first, so the recorder always holds the most recent span of
   activity regardless of run length.
-* **Cheap per sample.**  The window the last sample resolved to stays
-  cached; a sample that falls in it costs one index check and one dict
-  add.  Any other sample takes the full lookup, so warps, eviction and
-  :attr:`~WindowedTelemetry.dropped` behave exactly as without the cache.
-* **Free in virtual time.**  Like the tracer, this module only *reads*
-  ``clock.cycles``; it never charges.
+* **Free in virtual time.**  Every sample carries its own timestamp
+  (the span's completion cycle); this module never reads or charges a
+  clock.
 
 See ``docs/observability.md`` ("Windowed telemetry") for the snapshot
 schema.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.errors import ReproError
 
@@ -83,24 +84,20 @@ class WindowedTelemetry:
     """Fixed-window counters and latency stats on the virtual clock.
 
     Args:
-        clock: the :class:`~repro.hw.clock.Clock` samples are stamped
-            with.  May be ``None`` at construction and attached later
-            with :meth:`bind_clock` (the :class:`~repro.obs.hub.TelemetryHub`
-            does this because the instance clock exists only after boot);
-            samples taken unbound land in window 0.
-        window_cycles: window width in virtual cycles.
+        window_cycles: window width in virtual cycles; finite and
+            positive.
         ring: flight-recorder depth — windows retained before the oldest
             is evicted.
     """
 
-    def __init__(self, clock=None, window_cycles=DEFAULT_WINDOW_CYCLES,
+    def __init__(self, window_cycles=DEFAULT_WINDOW_CYCLES,
                  ring=DEFAULT_RING):
-        if window_cycles <= 0:
+        if not (math.isfinite(window_cycles) and window_cycles > 0):
             raise ReproError(
-                "window width must be positive: %r" % window_cycles)
+                "window width must be finite and positive: %r"
+                % window_cycles)
         if ring < 1:
             raise ReproError("need at least one window: %r" % ring)
-        self.clock = clock
         self.window_cycles = float(window_cycles)
         self.ring = ring
         #: window index -> :class:`_Window`, at most ``ring`` entries.
@@ -114,15 +111,6 @@ class WindowedTelemetry:
         self.samples = 0
         #: Windows evicted from the ring so far.
         self.evicted = 0
-        #: The retained window the last accepted sample resolved to (None
-        #: until the first sample).  Only :meth:`_window_at` sets it, and
-        #: it evicts nothing but the lowest index, so the cached window is
-        #: always still in the ring.
-        self._current = None
-
-    def bind_clock(self, clock):
-        """Attach the clock samples are stamped with (idempotent)."""
-        self.clock = clock
 
     # -- ingest ----------------------------------------------------------------
     def window_index(self, ts):
@@ -142,35 +130,22 @@ class WindowedTelemetry:
                 del self._windows[evict]
                 self.evicted += 1
                 self._floor = evict + 1
-        if index >= self._floor:
-            # Not the window just evicted (a late sample below every
-            # retained index, ring full): that one still takes this
-            # sample but must not serve the next.
-            self._current = window
         return window
 
-    def bump(self, name, value=1.0, ts=None):
-        """Add ``value`` to counter ``name`` in the current window."""
-        if ts is None:
-            ts = self.clock.cycles if self.clock is not None else 0.0
-        window = self._current
-        if window is None or ts // self.window_cycles != window.index:
-            window = self._window_at(ts)
-            if window is None:
-                return
+    def bump(self, name, value, ts):
+        """Add ``value`` to counter ``name`` in the window of ``ts``."""
+        window = self._window_at(ts)
+        if window is None:
+            return
         self.samples += 1
         counters = window.counters
         counters[name] = counters.get(name, 0.0) + value
 
-    def observe(self, name, value, ts=None):
-        """Record one latency/size observation in the current window."""
-        if ts is None:
-            ts = self.clock.cycles if self.clock is not None else 0.0
-        window = self._current
-        if window is None or ts // self.window_cycles != window.index:
-            window = self._window_at(ts)
-            if window is None:
-                return
+    def observe(self, name, value, ts):
+        """Record one latency observation in the window of ``ts``."""
+        window = self._window_at(ts)
+        if window is None:
+            return
         self.samples += 1
         window.observe(name, value)
 
@@ -178,20 +153,6 @@ class WindowedTelemetry:
     def windows(self):
         """Retained windows in ascending index order."""
         return [self._windows[i] for i in sorted(self._windows)]
-
-    def window_series(self, name):
-        """``(index, value)`` pairs of one counter across the ring."""
-        return [
-            (w.index, w.counters[name]) for w in self.windows()
-            if name in w.counters
-        ]
-
-    def rate_per_window(self, name):
-        """Mean of counter ``name`` over the retained windows."""
-        series = self.window_series(name)
-        if not series:
-            return 0.0
-        return sum(value for _, value in series) / len(series)
 
     def snapshot(self):
         """A JSON-serialisable, deterministically ordered snapshot."""

@@ -240,7 +240,7 @@ class Tracer:
                 "pkru-%s" % op, "pkru", self._now(),
                 args={"op": op, "key": key},
             ))
-        self.metrics.record_pkru_write(op)
+        self.metrics.record_pkru_write()
 
     def fault(self, fault_type, **args):
         """A protection or injected fault fired."""

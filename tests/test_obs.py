@@ -371,7 +371,8 @@ class TestEventlessTracer:
                 assert counted.built == 0
             assert result.tracer.keep_events is keep_events
             assert hub.spans.check_all() == 48
-            snapshots[keep_events] = (hub.snapshot(), hub.metrics.snapshot())
+            snapshots[keep_events] = (hub.snapshot(),
+                                      result.tracer.metrics.snapshot())
         assert snapshots[False] == snapshots[True]
 
 
@@ -650,3 +651,17 @@ class TestTailCli:
     def test_tracer_uninstalled_after_tail_run(self):
         self.run_cli(["obs", "tail", "redis", "--requests", "8"])
         assert get_tracer() is NULL_TRACER
+
+    @pytest.mark.parametrize("flag", ["--window-cycles", "--slo-us"])
+    def test_tail_rejects_non_finite_input_before_any_load(
+            self, monkeypatch, flag):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load ran on invalid input")
+
+        monkeypatch.setattr("repro.bench.load.run_load", no_load)
+        code, output = self.run_cli([
+            "obs", "tail", "redis", "--requests", "8", "--cores", "2",
+            flag, "nan",
+        ])
+        assert code == 1
+        assert output.startswith("error: ") and "finite" in output

@@ -2,14 +2,16 @@
 
 Pins :mod:`repro.obs.slo` (burn arithmetic, windowing, deterministic
 exemplar retention) and the :class:`~repro.obs.TelemetryHub` read API —
-the snapshot and ``evaluator_input`` shapes that ``BENCH_tail.json``
-and the ROADMAP's future ``live`` explorer evaluator consume.
+the snapshot and ``evaluator_input`` shapes that ``BENCH_tail.json``,
+the ``live`` explorer evaluator and the autotune loop consume.
 """
 
 import json
+import math
 
 import pytest
 
+from repro.bench.load import run_load
 from repro.errors import ReproError
 from repro.obs import (
     SloEvaluator,
@@ -42,6 +44,11 @@ class TestSloTarget:
             SloTarget("bad", 100.0, objective=0.0)
         with pytest.raises(ReproError):
             SloTarget("bad", 0.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ReproError, match="finite"):
+            SloTarget("bad", threshold)
 
     def test_error_budget_is_complement(self):
         assert SloTarget("p99", 100.0, objective=0.99).error_budget \
@@ -143,6 +150,15 @@ class TestSlowSampler:
         with pytest.raises(ReproError):
             SlowSampler(10.0, capacity=0)
 
+    def test_span_at_threshold_is_not_admitted(self):
+        """At the threshold a span is good for the SLO evaluator
+        (``test_threshold_is_inclusive``), so the sampler must not keep
+        it as budget-burning evidence."""
+        sampler = SlowSampler(50.0, capacity=4)
+        assert not sampler.offer(_span(1, 0.0, 50.0))
+        assert sampler.offer(_span(2, 0.0, 50.5))
+        assert [s.span_id for s in sampler.samples] == [2]
+
     def test_snapshot_carries_full_span_trees(self):
         sampler = SlowSampler(10.0, capacity=2)
         sampler.offer(_span(1, 0.0, 50.0, gate=20.0))
@@ -174,6 +190,14 @@ class TestTelemetryHub:
         assert window_counts == {0: 1.0, 1: 1.0}
         assert hub.slos[0].bad == 1
         assert [s.span_id for s in hub.sampler.samples] == [2]
+
+    def test_default_samples_are_exactly_the_bad_requests(self):
+        hub = self._hub()
+        for span_id, latency in ((1, 5.0), (2, 10.0), (3, 11.0),
+                                 (4, 40.0)):
+            self._complete(hub, span_id, 100.0 * span_id, latency)
+        assert hub.slos[0].bad == hub.sampler.admitted == 2
+        assert sorted(s.span_id for s in hub.sampler.samples) == [3, 4]
 
     def test_default_slow_threshold_is_tightest_slo(self):
         hub = TelemetryHub(slo_targets=(
@@ -237,3 +261,43 @@ class TestTelemetryHub:
         hub = self._hub()
         self._complete(hub, 1, 0.0, 5.0)
         assert "worst window" not in hub.tail_report()
+
+
+class TestHubBoundLoad:
+    """Span completions are the only producer of windowed data: the
+    tracer's registry owns every whole-run counter."""
+
+    RUN = dict(rate_rps=20_000.0, n_requests=16, seed=1, cores=2,
+               connections=2)
+    SERIES = {"requests.completed", "requests.queue_cycles",
+              "requests.gate_cycles", "requests.gate_crossings",
+              "requests.app_cycles", "request.latency_cycles"}
+
+    @pytest.fixture(scope="class")
+    def hub_run(self):
+        hub = TelemetryHub(window_cycles=100_000.0, slo_targets=(
+            SloTarget("p99-3us", 6_600.0),))
+        result = run_load("redis", "intel-mpk", hub=hub, **self.RUN)
+        return result, hub
+
+    def test_windows_hold_only_request_series(self, hub_run):
+        _, hub = hub_run
+        windows = hub.timeseries.windows()
+        assert windows
+        for window in windows:
+            assert set(window.counters) | set(window.latency) <= self.SERIES
+            assert window.counters["requests.completed"] >= 1.0
+        assert hub.timeseries.samples == 6 * 16
+
+    def test_every_evaluator_row_saw_a_request(self, hub_run):
+        _, hub = hub_run
+        rows = hub.evaluator_input()["windows"]
+        assert rows and all(row["requests"] > 0 for row in rows)
+        assert sum(row["requests"] for row in rows) == 16
+
+    def test_registry_is_the_same_with_or_without_a_hub(self, hub_run):
+        result, hub = hub_run
+        assert not hasattr(hub, "metrics")
+        plain = run_load("redis", "intel-mpk", trace=True, **self.RUN)
+        assert result.tracer.metrics.snapshot() == \
+            plain.tracer.metrics.snapshot()
