@@ -16,7 +16,8 @@ p50/p99/p999 latency at three arrival rates anchored to the
 *uncompartmentalised* config's saturation at that core count — the same
 absolute rates for every config, so the latency curves are comparable.
 Everything is virtual-clock-derived and seed-deterministic: the point
-is stable across runs and safe for the ``obs check`` perf gate.
+regenerates byte-identically, so any ``git diff`` of it is a behaviour
+change.
 """
 
 from benchmarks.common import run_recorded, write_result

@@ -11,9 +11,9 @@ The trajectory point records the full hub snapshot per isolation
 config plus the ``evaluator_input`` contract the ``live`` explorer
 evaluator and the autotune loop consume — pinning both the numbers and
 the shape.  Everything derives from the virtual clock and the seeded
-arrival schedule, so the point is rerun-byte-identical and safe for
-the ``obs check`` perf gate; the benchmark itself asserts that by
-running one config twice and comparing snapshots structurally.
+arrival schedule, so the point is rerun-byte-identical and any
+``git diff`` of it is a behaviour change; the benchmark itself asserts
+that by running one config twice and comparing snapshots structurally.
 """
 
 import json

@@ -10,12 +10,15 @@ Every benchmark additionally leaves a machine-readable **trajectory
 point** behind: :func:`run_recorded` (or a direct :func:`write_metrics`
 call) dumps the run's deterministic numbers to
 ``benchmarks/results/BENCH_<name>.json``, stamped with the snapshot
-schema version and a digest of the benchmark's configuration.  The
-``obs diff`` / ``obs check`` CLI (:mod:`repro.obs.regress`) compares
-those points across PRs and against the committed baselines under
-``benchmarks/results/baselines/`` — the CI perf gate.  Only
-virtual-clock-derived values belong in a trajectory point; wall-clock
-timings are pytest-benchmark's business and are never written here.
+schema version and a digest of the benchmark's configuration.  Every
+file under ``benchmarks/results/`` is committed and must regenerate
+byte-identically: CI reruns the benchmarks and fails on any
+``git diff``, and a change is blessed by rerunning the benchmarks and
+committing the regenerated files.  ``obs diff``
+(:mod:`repro.obs.regress`) reads a changed point metric by metric.
+Only virtual-clock-derived values belong in a trajectory point;
+wall-clock timings are pytest-benchmark's business and are never
+written here.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import os
 from repro.obs.regress import SNAPSHOT_SCHEMA_VERSION, config_digest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-BASELINES_DIR = os.path.join(RESULTS_DIR, "baselines")
 
 
 def write_result(name, text):

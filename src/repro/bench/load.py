@@ -12,8 +12,8 @@ when the system falls behind, the backlog grows and the tail latencies
 show it.
 
 Everything runs on the virtual clock, so a load run is deterministic
-for a given seed: identical latencies, identical percentiles, suitable
-for the ``obs check`` perf gate.
+for a given seed: identical latencies, identical percentiles, and a
+committed trajectory point that regenerates byte-identically.
 
 Modes:
 
@@ -191,7 +191,7 @@ class LoadResult:
         }
         if self.schedule is not None:
             # Only scheduled runs carry the key, so single-rate runs
-            # keep their committed baseline bytes.
+            # keep their committed result bytes.
             summary["schedule"] = [list(phase) for phase in self.schedule]
         return summary
 

@@ -662,16 +662,6 @@ def cmd_obs_slo(args, out):
     return emit(args, out, text, payload, label="slo report")
 
 
-def cmd_obs_check(args, out):
-    """The perf gate: check current snapshots against the baselines."""
-    from repro.obs import check_baselines
-
-    report = check_baselines(args.results, args.baseline,
-                             allow=args.allow or ())
-    out.write(report.to_text() + "\n")
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="flexos-repro",
@@ -954,7 +944,7 @@ def build_parser():
     p_arun.set_defaults(func=cmd_autotune_run)
 
     p_obs = sub.add_parser(
-        "obs", help="trace analytics and the perf-regression gate",
+        "obs", help="trace analytics, tail latency and snapshot diffs",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -1037,23 +1027,6 @@ def build_parser():
                         help="comma-separated mechanisms to compare "
                              "(default: %(default)s)")
     p_oslo.set_defaults(func=cmd_obs_slo)
-
-    p_ocheck = obs_sub.add_parser(
-        "check", help="perf gate: fail on unexplained metric changes "
-                      "against the committed baselines",
-    )
-    p_ocheck.add_argument("--results", default="benchmarks/results",
-                          metavar="DIR",
-                          help="freshly generated snapshots")
-    p_ocheck.add_argument("--baseline",
-                          default="benchmarks/results/baselines",
-                          metavar="DIR", help="committed baselines")
-    p_ocheck.add_argument("--allow", action="append", default=[],
-                          metavar="PATTERN",
-                          help="bless metrics matching this fnmatch "
-                               "pattern (repeatable); merged with the "
-                               "baseline directory's allowlist.json")
-    p_ocheck.set_defaults(func=cmd_obs_check)
 
     return parser
 

@@ -10,8 +10,8 @@ content, not by name:
     key = config_digest({"layout": <semantic layout payload>,
                          "evaluator": <evaluator.key()>})
 
-using the same digest function the perf-regression gate uses for
-benchmark configurations (:func:`repro.obs.regress.config_digest`), so
+using the same digest function that stamps benchmark configurations
+into trajectory points (:func:`repro.obs.regress.config_digest`), so
 a cache entry means exactly "this evaluator, applied to a layout with
 this content, returned this value".
 

@@ -4,11 +4,10 @@ Real wire formats (struct-packed, checksummed) so that header corruption,
 truncation, and checksum failures are detectable in tests, and payload
 sizes seen by the cost model equal what real frames would carry.
 
-The stack keeps its addresses as raw bytes and frames with the
-``pack_*``/``unpack_*`` codecs.  The header classes wrap the same codecs
-behind string fields (``"10.0.0.1"``, ``"02:00:00:00:00:0a"``); the
-stack uses them where a header carries no address (TCP, UDP, ICMP) and
-on the ARP path.
+The stack keeps its addresses as raw bytes: Ethernet and IPv4 headers
+are built and parsed by the ``pack_*``/``unpack_*`` codecs.  Headers
+that carry no address (TCP, UDP, ICMP) are classes, and so is ARP,
+whose fields are strings (``"10.0.0.1"``, ``"02:00:00:00:00:0a"``).
 """
 
 from __future__ import annotations
@@ -123,46 +122,6 @@ def unpack_ipv4(packet):
             packet[IP_HEADER_LEN:total_len])
 
 
-class EthernetHeader:
-    """dst(6) src(6) ethertype(2)."""
-
-    def __init__(self, dst, src, ethertype=ETHERTYPE_IPV4):
-        self.dst = dst
-        self.src = src
-        self.ethertype = ethertype
-
-    def pack(self):
-        return pack_ethernet(mac_bytes(self.dst), mac_bytes(self.src),
-                             self.ethertype)
-
-    @classmethod
-    def unpack(cls, frame):
-        dst, src, ethertype, payload = unpack_ethernet(frame)
-        return cls(mac_str(dst), mac_str(src), ethertype), payload
-
-
-class Ipv4Header:
-    """Standard 20-byte IPv4 header (no options)."""
-
-    def __init__(self, src, dst, proto, total_len, ident=0, ttl=64):
-        self.src = src
-        self.dst = dst
-        self.proto = proto
-        self.total_len = total_len
-        self.ident = ident
-        self.ttl = ttl
-
-    def pack(self):
-        return pack_ipv4(ip_bytes(self.src), ip_bytes(self.dst), self.proto,
-                         self.total_len, ident=self.ident, ttl=self.ttl)
-
-    @classmethod
-    def unpack(cls, packet):
-        src, dst, proto, total_len, ident, ttl, body = unpack_ipv4(packet)
-        return cls(ip_str(src), ip_str(dst), proto, total_len,
-                   ident=ident, ttl=ttl), body
-
-
 class TcpHeader:
     """Standard 20-byte TCP header (no options)."""
 
@@ -191,14 +150,6 @@ class TcpHeader:
         data_off = (offset >> 4) * 4
         header = cls(src_port, dst_port, seq, ack, flags, window=window)
         return header, segment[data_off:]
-
-    def flag_names(self):
-        names = []
-        for bit, name in ((SYN, "SYN"), (ACK, "ACK"), (FIN, "FIN"),
-                          (RST, "RST"), (PSH, "PSH")):
-            if self.flags & bit:
-                names.append(name)
-        return "|".join(names) or "none"
 
 
 ARP_REQUEST = 1

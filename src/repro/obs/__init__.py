@@ -45,8 +45,6 @@ from repro.obs.hub import HUB_SCHEMA_VERSION, TelemetryHub
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.regress import (
     SNAPSHOT_SCHEMA_VERSION,
-    check_baselines,
-    check_snapshot,
     config_digest,
     diff_snapshots,
     flatten_metrics,
@@ -84,8 +82,6 @@ __all__ = [
     "Tracer",
     "WindowedTelemetry",
     "analyze",
-    "check_baselines",
-    "check_snapshot",
     "chrome_trace",
     "chrome_trace_json",
     "config_digest",

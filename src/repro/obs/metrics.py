@@ -241,7 +241,7 @@ class MetricsRegistry:
 
         The ``explore``, ``reconfig`` and ``sched`` sections appear only
         when those subsystems ran under this registry, so snapshots of
-        runs that never touch them (the functional perf-gate baselines
+        runs that never touch them (the committed functional snapshots
         predate all three) keep their exact shape.
         The ``sched`` section and the ``runqueue_depth`` histogram are
         emitted only by the SMP scheduler; serial runs never record a

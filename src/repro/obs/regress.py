@@ -1,22 +1,14 @@
-"""Perf-regression verdicts over schema-versioned metric snapshots.
+"""Per-metric deltas between schema-versioned metric snapshots.
 
 The benchmarks leave ``BENCH_<name>.json`` trajectory points behind
-(:func:`benchmarks.common.write_metrics`); this module turns pairs of
-those snapshots into answers:
-
-* :func:`diff_snapshots` — per-metric absolute and relative deltas
-  between two snapshots of the *same* benchmark, schema and
-  configuration (anything else raises :class:`~repro.errors.ReproError`
-  rather than producing a nonsense comparison);
-* :func:`check_snapshot` — regression verdicts against a committed
-  baseline.  Virtual cycles are deterministic, so the default tolerance
-  is **zero**: any unexplained change — in either direction — fails.
-  Intentional changes are blessed either by re-recording the baseline or
-  by an explicit per-metric allowlist (``fnmatch`` patterns over dotted
-  metric paths, e.g. ``points.*.metrics.counters.pkru_writes``);
-* :func:`check_baselines` — the CI perf gate: every snapshot under
-  ``benchmarks/results/baselines/`` is checked against the
-  freshly-generated result of the same name.
+(:func:`benchmarks.common.write_metrics`).  :func:`diff_snapshots`
+turns a pair of those snapshots into per-metric absolute and relative
+deltas, for the *same* benchmark, schema and configuration only
+(anything else raises :class:`~repro.errors.ReproError` rather than
+producing a nonsense comparison).  It is a developer tool for reading a
+change, not a gate: virtual cycles are deterministic, so CI regenerates
+every committed result and fails on any byte of ``git diff``, and a
+change is blessed by committing the regenerated files.
 
 Only numeric leaves are compared; the metadata keys ``write_metrics``
 embeds (``schema_version``, ``benchmark``, ``config``,
@@ -25,24 +17,19 @@ embeds (``schema_version``, ``benchmark``, ``config``,
 
 from __future__ import annotations
 
-import fnmatch
 import json
-import os
 
 from repro.bench.tables import format_table
 from repro.errors import ReproError
 
 #: Version of the ``BENCH_*.json`` trajectory-point layout.  Bump when
-#: the payload shape changes incompatibly; ``diff``/``check`` refuse to
-#: compare across versions.
+#: the payload shape changes incompatibly; ``diff`` refuses to compare
+#: across versions.
 SNAPSHOT_SCHEMA_VERSION = 2
 
 #: Top-level payload keys that describe the snapshot rather than
 #: measure anything — excluded from the metric diff.
 METADATA_KEYS = ("schema_version", "benchmark", "config", "config_digest")
-
-#: Name of the optional allowlist file next to the committed baselines.
-ALLOWLIST_FILE = "allowlist.json"
 
 
 def config_digest(config):
@@ -118,7 +105,7 @@ class MetricDelta:
         self.path = path
         self.baseline = baseline
         self.current = current
-        self.status = status  # ok | changed | allowed | added | removed
+        self.status = status  # ok | changed | added | removed
 
     @property
     def delta(self):
@@ -195,133 +182,3 @@ def diff_snapshots(baseline, current, baseline_label="baseline",
         else:
             deltas.append(MetricDelta(path, None, cur_flat[path], "added"))
     return SnapshotDiff(current.get("benchmark", "?"), deltas)
-
-
-def _allowed(path, allow):
-    return any(fnmatch.fnmatchcase(path, pattern) for pattern in allow)
-
-
-class SnapshotVerdict:
-    """Regression verdict for one benchmark against its baseline."""
-
-    def __init__(self, benchmark, diff, allow=(), error=None):
-        self.benchmark = benchmark
-        self.diff = diff
-        self.error = error
-        self.regressions = []
-        self.allowed = []
-        if diff is not None:
-            for delta in diff.changed():
-                if _allowed(delta.path, allow):
-                    delta.status = "allowed"
-                    self.allowed.append(delta)
-                else:
-                    self.regressions.append(delta)
-
-    @property
-    def ok(self):
-        return self.error is None and not self.regressions
-
-    def summary_line(self):
-        if self.error is not None:
-            return "FAIL %s: %s" % (self.benchmark, self.error)
-        if self.regressions:
-            return ("FAIL %s: %d unexplained metric change(s), %d allowed"
-                    % (self.benchmark, len(self.regressions),
-                       len(self.allowed)))
-        return "ok   %s: %d metrics match baseline%s" % (
-            self.benchmark, len(self.diff.deltas),
-            ", %d allowed change(s)" % len(self.allowed)
-            if self.allowed else "",
-        )
-
-    def to_text(self):
-        lines = [self.summary_line()]
-        flagged = self.regressions + self.allowed
-        if flagged:
-            lines.append(format_table([d.row() for d in flagged]))
-        return "\n".join(lines)
-
-
-def check_snapshot(baseline, current, allow=(), name=None):
-    """Zero-tolerance regression check of ``current`` against ``baseline``."""
-    benchmark = name or current.get("benchmark", "?")
-    try:
-        diff = diff_snapshots(baseline, current)
-    except ReproError as exc:
-        return SnapshotVerdict(benchmark, None, error=str(exc))
-    return SnapshotVerdict(benchmark, diff, allow=allow)
-
-
-def load_allowlist(baselines_dir):
-    """Patterns from ``<baselines_dir>/allowlist.json`` (empty if absent)."""
-    path = os.path.join(baselines_dir, ALLOWLIST_FILE)
-    if not os.path.exists(path):
-        return []
-    with open(path) as handle:
-        payload = json.load(handle)
-    patterns = payload.get("allow", [])
-    if not isinstance(patterns, list) or \
-            not all(isinstance(p, str) for p in patterns):
-        raise ReproError(
-            "%s must contain {\"allow\": [\"pattern\", ...]}" % path
-        )
-    return patterns
-
-
-class BaselineReport:
-    """The perf gate's verdicts over every committed baseline."""
-
-    def __init__(self, verdicts, skipped=()):
-        self.verdicts = verdicts
-        #: Current snapshots with no committed baseline (informational).
-        self.skipped = list(skipped)
-
-    @property
-    def ok(self):
-        return bool(self.verdicts) and all(v.ok for v in self.verdicts)
-
-    def to_text(self):
-        lines = [v.to_text() for v in self.verdicts]
-        for name in self.skipped:
-            lines.append("skip %s: no committed baseline" % name)
-        if not self.verdicts:
-            lines.append("FAIL: no baselines found to check against")
-        lines.append("perf gate: %s" % ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
-
-
-def check_baselines(results_dir, baselines_dir, allow=()):
-    """Check every committed baseline against the current results.
-
-    A baseline with no current snapshot fails (the benchmark stopped
-    emitting its trajectory point); a current snapshot with no baseline
-    is reported as skipped (commit one to put it under the gate).
-    """
-    if not os.path.isdir(baselines_dir):
-        raise ReproError("no baseline directory at %s" % baselines_dir)
-    allow = list(allow) + load_allowlist(baselines_dir)
-    names = sorted(
-        name for name in os.listdir(baselines_dir)
-        if name.startswith("BENCH_") and name.endswith(".json")
-    )
-    verdicts = []
-    for name in names:
-        baseline = load_snapshot(os.path.join(baselines_dir, name))
-        current_path = os.path.join(results_dir, name)
-        if not os.path.exists(current_path):
-            verdicts.append(SnapshotVerdict(
-                baseline.get("benchmark", name), None,
-                error="baseline committed but no current snapshot at %s "
-                      "(did the benchmark run?)" % current_path,
-            ))
-            continue
-        current = load_snapshot(current_path)
-        verdicts.append(check_snapshot(baseline, current, allow=allow))
-    skipped = sorted(
-        name for name in (os.listdir(results_dir)
-                          if os.path.isdir(results_dir) else ())
-        if name.startswith("BENCH_") and name.endswith(".json")
-        and name not in names
-    )
-    return BaselineReport(verdicts, skipped=skipped)

@@ -17,10 +17,11 @@ Design constraints, in order:
 * **Warp-tolerant.**  The SMP scheduler moves the shared clock backwards
   between slices (:meth:`~repro.hw.clock.Clock.warp_to`), so samples do
   *not* arrive in timestamp order.  Windows therefore live in a dict
-  keyed by index, not an append-only list; a sample for an
-  already-evicted window is counted in :attr:`dropped` (deterministic —
-  eviction depends only on the sample stream) rather than resurrecting
-  the window.
+  keyed by index, not an append-only list.  A sample that would need a
+  new window below every retained one while the ring is full — its
+  window was evicted, or would be evicted on arrival — is counted in
+  :attr:`dropped` (deterministic: it depends only on the sample stream)
+  rather than resurrecting the window.
 * **Bounded.**  At most ``ring`` windows are retained; the lowest index
   is evicted first, so the recorder always holds the most recent span of
   activity regardless of run length.
@@ -102,10 +103,8 @@ class WindowedTelemetry:
         self.ring = ring
         #: window index -> :class:`_Window`, at most ``ring`` entries.
         self._windows = {}
-        #: Lowest index a sample may still land in; anything below has
-        #: been evicted and is counted in :attr:`dropped` instead.
-        self._floor = 0
-        #: Samples that arrived for an already-evicted window.
+        #: Samples whose window lies below every retained one in a full
+        #: ring: evicted already, or evicted on arrival.
         self.dropped = 0
         #: Total samples accepted (counter bumps + latency observations).
         self.samples = 0
@@ -119,17 +118,16 @@ class WindowedTelemetry:
 
     def _window_at(self, ts):
         index = self.window_index(ts)
-        if index < self._floor:
-            self.dropped += 1
-            return None
         window = self._windows.get(index)
         if window is None:
-            window = self._windows[index] = _Window(index)
-            while len(self._windows) > self.ring:
-                evict = min(self._windows)
-                del self._windows[evict]
+            if len(self._windows) >= self.ring:
+                lowest = min(self._windows)
+                if index < lowest:
+                    self.dropped += 1
+                    return None
+                del self._windows[lowest]
                 self.evicted += 1
-                self._floor = evict + 1
+            window = self._windows[index] = _Window(index)
         return window
 
     def bump(self, name, value, ts):

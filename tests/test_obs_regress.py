@@ -1,9 +1,10 @@
-"""Perf-regression observatory: snapshots, diffs, verdicts, CLI gate.
+"""Metric snapshots and ``obs diff``: flattening, deltas, CLI.
 
-Virtual cycles are deterministic, so the gate's tolerance is zero: the
-acceptance case here plants a synthetic +5% ``cycles_per_request``
-regression in a freshly generated snapshot and requires ``obs check`` to
-exit non-zero against the committed baseline.
+``obs diff`` is the tool for reading a change to a committed
+``BENCH_*.json`` trajectory point metric by metric; the gate on those
+points is that they regenerate byte-identically.  The acceptance case
+here plants a synthetic +5% ``cycles_per_request`` regression in the
+committed Redis snapshot and requires ``obs diff`` to name it.
 """
 
 import io
@@ -17,16 +18,14 @@ from repro.cli import main as cli_main
 from repro.errors import ReproError
 from repro.obs import (
     SNAPSHOT_SCHEMA_VERSION,
-    check_baselines,
-    check_snapshot,
     config_digest,
     diff_snapshots,
     flatten_metrics,
     load_snapshot,
 )
 
-BASELINES = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
-                         "results", "baselines")
+RESULTS = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                       "results")
 
 
 def snap(results, benchmark="bench", config=None, schema=None):
@@ -106,39 +105,6 @@ class TestDiff:
                            snap({"x": 1}, config={"requests": 20}))
 
 
-class TestVerdicts:
-    def test_any_change_is_a_regression_by_default(self):
-        verdict = check_snapshot(snap({"cycles": 100}),
-                                 snap({"cycles": 100.001}))
-        assert not verdict.ok
-        assert verdict.summary_line().startswith("FAIL")
-        assert len(verdict.regressions) == 1
-
-    def test_allowlist_blesses_matching_metrics(self):
-        verdict = check_snapshot(
-            snap({"cycles": 100, "other": 1}),
-            snap({"cycles": 105, "other": 1}),
-            allow=("results.cycles",),
-        )
-        assert verdict.ok
-        assert [d.path for d in verdict.allowed] == ["results.cycles"]
-        assert "allowed" in verdict.summary_line()
-
-    def test_allowlist_patterns_are_fnmatch(self):
-        verdict = check_snapshot(
-            snap({"a": {"cycles": 1}, "b": {"cycles": 2}}),
-            snap({"a": {"cycles": 9}, "b": {"cycles": 9}}),
-            allow=("results.*.cycles",),
-        )
-        assert verdict.ok
-
-    def test_incomparable_snapshots_fail_the_verdict(self):
-        verdict = check_snapshot(snap({"x": 1}, config={"n": 1}),
-                                 snap({"x": 1}, config={"n": 2}))
-        assert not verdict.ok
-        assert "config digest" in verdict.summary_line()
-
-
 class TestSnapshotIo:
     def test_load_refuses_unversioned_payload(self, tmp_path):
         path = write_snap(tmp_path / "BENCH_x.json", {"results": {"x": 1}})
@@ -158,113 +124,38 @@ class TestSnapshotIo:
         assert os.path.basename(path) == "BENCH_demo.json"
 
 
-class TestBaselineGate:
-    def _dirs(self, tmp_path):
-        results = tmp_path / "results"
-        baselines = results / "baselines"
-        baselines.mkdir(parents=True)
-        return results, baselines
-
-    def test_matching_snapshots_pass(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        payload = snap({"cycles": 100})
-        write_snap(baselines / "BENCH_bench.json", payload)
-        write_snap(results / "BENCH_bench.json", payload)
-        report = check_baselines(str(results), str(baselines))
-        assert report.ok
-        assert "perf gate: PASS" in report.to_text()
-
-    def test_regression_fails_the_gate(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        write_snap(baselines / "BENCH_bench.json", snap({"cycles": 100}))
-        write_snap(results / "BENCH_bench.json", snap({"cycles": 105}))
-        report = check_baselines(str(results), str(baselines))
-        assert not report.ok
-        assert "perf gate: FAIL" in report.to_text()
-
-    def test_missing_current_snapshot_fails(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        write_snap(baselines / "BENCH_bench.json", snap({"cycles": 100}))
-        report = check_baselines(str(results), str(baselines))
-        assert not report.ok
-        assert "no current snapshot" in report.to_text()
-
-    def test_unbaselined_snapshot_is_skipped_not_failed(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        payload = snap({"cycles": 100})
-        write_snap(baselines / "BENCH_bench.json", payload)
-        write_snap(results / "BENCH_bench.json", payload)
-        write_snap(results / "BENCH_extra.json",
-                   snap({"x": 1}, benchmark="extra"))
-        report = check_baselines(str(results), str(baselines))
-        assert report.ok
-        assert "skip BENCH_extra.json" in report.to_text()
-
-    def test_no_baselines_at_all_fails(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        report = check_baselines(str(results), str(baselines))
-        assert not report.ok
-
-    def test_allowlist_json_next_to_baselines(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        write_snap(baselines / "BENCH_bench.json", snap({"cycles": 100}))
-        write_snap(results / "BENCH_bench.json", snap({"cycles": 105}))
-        write_snap(baselines / "allowlist.json",
-                   {"allow": ["results.cycles"]})
-        report = check_baselines(str(results), str(baselines))
-        assert report.ok
-
-    def test_malformed_allowlist_raises(self, tmp_path):
-        results, baselines = self._dirs(tmp_path)
-        write_snap(baselines / "BENCH_bench.json", snap({"cycles": 100}))
-        write_snap(baselines / "allowlist.json", {"allow": "not-a-list"})
-        with pytest.raises(ReproError, match="allowlist"):
-            check_baselines(str(results), str(baselines))
-
-
 class TestCliGate:
     def run_cli(self, argv):
         out = io.StringIO()
         code = cli_main(argv, out=out)
         return code, out.getvalue()
 
-    def _committed_redis_baseline(self):
-        return load_snapshot(
-            os.path.join(BASELINES, "BENCH_functional_redis.json"),
-        )
-
-    def test_synthetic_regression_fails_obs_check(self, tmp_path):
+    def test_synthetic_regression_shows_in_obs_diff(self, tmp_path):
         """The acceptance case: +5% cycles/request against the real
-        committed Redis baseline must fail the gate."""
-        results = tmp_path / "results"
-        results.mkdir()
-        payload = self._committed_redis_baseline()
+        committed Redis snapshot is named metric by metric."""
+        committed = os.path.join(RESULTS, "BENCH_functional_redis.json")
+        payload = load_snapshot(committed)
         for point in payload["points"]:
             point["cycles_per_request"] *= 1.05
-        write_snap(results / "BENCH_functional_redis.json", payload)
-        code, output = self.run_cli([
-            "obs", "check", "--results", str(results),
-            "--baseline", BASELINES,
-        ])
-        assert code != 0
-        assert "FAIL functional_redis" in output
-        assert "perf gate: FAIL" in output
-
-    def test_pristine_snapshot_passes_obs_check(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        # Every committed baseline must have a current snapshot, so the
-        # pristine run mirrors the whole baselines directory.
-        for name in sorted(os.listdir(BASELINES)):
-            if name.startswith("BENCH_") and name.endswith(".json"):
-                write_snap(results / name,
-                           load_snapshot(os.path.join(BASELINES, name)))
-        code, output = self.run_cli([
-            "obs", "check", "--results", str(results),
-            "--baseline", BASELINES,
-        ])
+        current = write_snap(tmp_path / "BENCH_functional_redis.json",
+                             payload)
+        code, output = self.run_cli(["obs", "diff", committed, current])
         assert code == 0
-        assert "perf gate: PASS" in output
+        assert "functional_redis: %d of" % len(payload["points"]) in output
+        for i in range(len(payload["points"])):
+            assert "points.%d.cycles_per_request" % i in output
+        assert "+5.00%" in output
+
+    def test_every_committed_snapshot_diffs_clean_against_itself(self):
+        names = sorted(name for name in os.listdir(RESULTS)
+                       if name.startswith("BENCH_")
+                       and name.endswith(".json"))
+        assert names
+        for name in names:
+            path = os.path.join(RESULTS, name)
+            code, output = self.run_cli(["obs", "diff", path, path])
+            assert code == 0, name
+            assert "no differences" in output, name
 
     def test_obs_diff_reports_deltas(self, tmp_path):
         a = write_snap(tmp_path / "a.json", snap({"cycles": 100}))
